@@ -114,17 +114,26 @@ class PairwiseDecision:
     dom_by: np.ndarray
 
 
+def _zscore(values: np.ndarray) -> np.ndarray:
+    std = float(values.std())
+    if std < ZERO_VARIANCE_STD:
+        return np.zeros_like(values)
+    return (values - values.mean()) / std
+
+
+def _w1_to_ideal(values: np.ndarray, ideal: np.ndarray | None = None) -> np.ndarray:
+    if ideal is None:
+        ideal = values.max(axis=1)
+    return np.abs(values - np.asarray(ideal, dtype=float)[:, None]).mean(axis=0)
+
+
 def zscore_normalize(matrix: QuantileMatrix) -> QuantileMatrix:
     """Standardize all entries jointly by their mean and population std.
 
     A matrix whose spread is below ``ZERO_VARIANCE_STD`` maps to all
     zeros, which downstream scorers treat as total indifference.
     """
-    values = matrix.values
-    std = float(values.std())
-    if std < ZERO_VARIANCE_STD:
-        return QuantileMatrix(np.zeros_like(values), matrix.fractions)
-    return QuantileMatrix((values - values.mean()) / std, matrix.fractions)
+    return QuantileMatrix(_zscore(matrix.values), matrix.fractions)
 
 
 def ideal_profile(matrix: QuantileMatrix) -> np.ndarray:
@@ -136,29 +145,27 @@ def ideal_profile(matrix: QuantileMatrix) -> np.ndarray:
 def w1_to_ideal(matrix: QuantileMatrix, ideal: np.ndarray | None = None) -> np.ndarray:
     """1-Wasserstein distance of every action's column to the ideal
     profile, i.e. the mean absolute per-quantile gap."""
-    values = matrix.values
-    if ideal is None:
-        ideal = values.max(axis=1)
-    return np.abs(values - np.asarray(ideal, dtype=float)[:, None]).mean(axis=0)
+    return _w1_to_ideal(matrix.values, ideal)
 
 
 def qd(matrix: QuantileMatrix) -> np.ndarray:
     """Antisymmetric matrix of pairwise score gaps on an already
     normalized matrix: entry (a, b) is score(a) - score(b), where the
     score is the negative W1 distance to the ideal profile."""
-    scores = -w1_to_ideal(matrix)
+    scores = -_w1_to_ideal(matrix.values)
     return scores[:, None] - scores[None, :]
 
 
 def action_scores(matrix: QuantileMatrix, config: ComparatorConfig) -> np.ndarray:
     """Normalize the matrix and score every action under ``config``."""
-    return _scores(zscore_normalize(matrix).values, config)
+    return _scores(matrix.values, config)
 
 
-def _scores(normalized: np.ndarray, config: ComparatorConfig) -> np.ndarray:
+def _scores(values: np.ndarray, config: ComparatorConfig) -> np.ndarray:
+    """Score every action of a raw (quantiles, actions) array on its z-scored copy."""
+    normalized = _zscore(values)
     if config.kind == QUANTILE_DOMINANCE:
-        ideal = normalized.max(axis=1)
-        return -np.abs(normalized - ideal[:, None]).mean(axis=0)
+        return -_w1_to_ideal(normalized)
     if config.kind == LOWER_TAIL:
         tail = int(np.ceil(config.cvar_alpha * normalized.shape[0]))
         return np.sort(normalized, axis=0)[:tail].mean(axis=0)

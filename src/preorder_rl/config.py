@@ -94,6 +94,8 @@ def _parse_env(raw: dict) -> EnvSpec:
         make_env(spec)
     except ConfigError as exc:
         raise ConfigError(f"env: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"env.params: {exc}") from exc
     return spec
 
 

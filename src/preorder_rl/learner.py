@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -224,39 +224,34 @@ def _pinball_step(theta: np.ndarray, targets: np.ndarray, fractions: np.ndarray,
 
 
 def td_update(tensor: QuantileTensor, transition: VectorTransition,
-              config: LearnerConfig, graph: PreorderGraph) -> QuantileTensor:
+              config: LearnerConfig, graph: PreorderGraph,
+              learning_rate: float | None = None) -> QuantileTensor:
     """One in-place distributional TD step on every head.
 
     Greedy bootstrap actions are chosen per head.  In preorder mode with
     ``training_preorder`` set, the choice at the successor state is
     restricted to that objective's survivor set; terminal transitions
-    collapse the target to the immediate reward.
+    collapse the target to the immediate reward.  The weighted-sum head
+    learns the weighted reward.  ``learning_rate`` defaults to
+    ``config.learning_rate``.
     """
     s, a, s2 = transition.state, transition.action, transition.next_state
+    rate = config.learning_rate if learning_rate is None else learning_rate
+    rewards = transition.rewards
     if config.mode == WEIGHTED_SUM:
-        reward = float(np.dot(config.weights, transition.rewards))
-        if transition.terminal:
-            targets = np.array([reward])
-        else:
-            best = greedy_target_action(tensor, 0, s2)
-            targets = reward + config.gammas[0] * tensor.values[0, s2, best]
-        _pinball_step(tensor.values[0, s, a], targets, tensor.fractions,
-                      config.learning_rate, config.huber_kappa)
-        return tensor
-
-    allowed: dict[int, frozenset[int] | None] = {i: None for i in range(config.n_objectives)}
+        rewards = (np.dot(config.weights, rewards),)
+    allowed: dict[int, frozenset[int]] = {}
     if config.mode == PREORDER and config.training_preorder and not transition.terminal:
-        state = select(graph, tensor.matrices(s2), config.comparator)
-        allowed = dict(state.survivors)
-    for i in range(config.n_objectives):
-        reward = float(transition.rewards[i])
+        allowed = select(graph, tensor.matrices(s2), config.comparator).survivors
+    for i in range(config.n_heads):
+        reward = float(rewards[i])
         if transition.terminal:
             targets = np.array([reward])
         else:
-            best = greedy_target_action(tensor, i, s2, allowed[i])
+            best = greedy_target_action(tensor, i, s2, allowed.get(i))
             targets = reward + config.gammas[i] * tensor.values[i, s2, best]
         _pinball_step(tensor.values[i, s, a], targets, tensor.fractions,
-                      config.learning_rate, config.huber_kappa)
+                      rate, config.huber_kappa)
     return tensor
 
 
@@ -269,10 +264,8 @@ def act(tensor: QuantileTensor, state: int, config: LearnerConfig,
     if config.mode == PREORDER:
         chosen = select(graph, tensor.matrices(state), config.comparator)
         return sample_action(global_leaf_survivors(chosen, graph), rng)
-    if config.mode == WEIGHTED_SUM:
-        return int(np.argmax(tensor.values[0, state].mean(axis=1)))
-    means = tensor.values[:, state].mean(axis=2)
-    return int(np.argmax(means.mean(axis=0)))
+    # Scalar modes: the weighted-sum tensor has a single head.
+    return int(np.argmax(tensor.values[:, state].mean(axis=2).mean(axis=0)))
 
 
 def _check_env(env, config: LearnerConfig, graph: PreorderGraph) -> None:
@@ -282,7 +275,9 @@ def _check_env(env, config: LearnerConfig, graph: PreorderGraph) -> None:
             f"config {config.n_objectives}, preorder {graph.n_objectives}")
 
 
-def _run_episode(env, tensor, config, graph, rng, epsilon, learn):
+def _run_episode(env, tensor, config, graph, rng, episode, epsilon,
+                 learning_rate) -> EpisodeRecord:
+    """Play one episode; learn at ``learning_rate`` unless it is None."""
     state = env.reset(rng)
     returns = np.zeros(config.n_objectives)
     success = collision = offroad = False
@@ -290,10 +285,10 @@ def _run_episode(env, tensor, config, graph, rng, epsilon, learn):
     for _ in range(env.spec.episode_cap):
         action = act(tensor, state, config, graph, rng, epsilon=epsilon)
         result = env.step(action, rng)
-        if learn:
+        if learning_rate is not None:
             td_update(tensor, VectorTransition(state, action, result.rewards,
                                                result.next_state, result.terminal),
-                      config, graph)
+                      config, graph, learning_rate)
         returns += result.rewards
         success |= result.success
         collision |= result.collision
@@ -302,7 +297,8 @@ def _run_episode(env, tensor, config, graph, rng, epsilon, learn):
         state = result.next_state
         if result.terminal:
             break
-    return returns, success, collision, offroad, progress
+    return EpisodeRecord(episode, tuple(float(r) for r in returns), success, collision,
+                         offroad, progress)
 
 
 def train(env, config: LearnerConfig, graph: PreorderGraph, seed: int,
@@ -322,14 +318,12 @@ def train(env, config: LearnerConfig, graph: PreorderGraph, seed: int,
     tensor.values += init.reshape(-1, 1, 1, 1)
     records = []
     for episode in range(episodes):
-        eps = config.epsilon.value(episode)
-        step_config = config
+        rate = config.learning_rate
         if config.learning_rate_end is not None:
             frac = episode / max(episodes - 1, 1)
-            rate = config.learning_rate + (config.learning_rate_end - config.learning_rate) * frac
-            step_config = replace(config, learning_rate=max(rate, config.learning_rate_end))
-        stats = _run_episode(env, tensor, step_config, graph, rng, eps, learn=True)
-        records.append(EpisodeRecord(episode, tuple(float(r) for r in stats[0]), *stats[1:]))
+            rate = max(rate + (config.learning_rate_end - rate) * frac, config.learning_rate_end)
+        records.append(_run_episode(env, tensor, config, graph, rng, episode,
+                                    config.epsilon.value(episode), rate))
     return tensor, records
 
 
@@ -338,11 +332,8 @@ def evaluate(env, tensor: QuantileTensor, config: LearnerConfig, graph: Preorder
     """Run the greedy policy without learning and log every episode."""
     _check_env(env, config, graph)
     rng = np.random.default_rng(seed)
-    records = []
-    for episode in range(episodes):
-        stats = _run_episode(env, tensor, config, graph, rng, 0.0, learn=False)
-        records.append(EpisodeRecord(episode, tuple(float(r) for r in stats[0]), *stats[1:]))
-    return records
+    return [_run_episode(env, tensor, config, graph, rng, episode, 0.0, None)
+            for episode in range(episodes)]
 
 
 def save_tensor(tensor: QuantileTensor, path) -> None:

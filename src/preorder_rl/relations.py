@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import EmptySetError, LengthMismatch
 from .preorder import PreorderGraph
+from .selection import aggregate_survivor_sets
 
 
 class ActionRelation(Enum):
@@ -101,7 +102,7 @@ def oracle_survivors(graph: PreorderGraph, rewards) -> dict[int, frozenset[int]]
     for obj in graph.topological_sort():
         parent_ids = graph.parents(obj)
         if parent_ids:
-            up = _aggregate([survivors[p] for p in sorted(parent_ids)])
+            up = aggregate_survivor_sets([survivors[p] for p in sorted(parent_ids)])
             dom_up = set().union(*(dom[p] for p in parent_ids))
             dom_by_up = set().union(*(dom_by[p] for p in parent_ids))
         else:
@@ -133,8 +134,3 @@ def oracle_survivors(graph: PreorderGraph, rewards) -> dict[int, frozenset[int]]
         dom[obj] = dom_here
         dom_by[obj] = dom_by_here
     return survivors
-
-
-def _aggregate(sets: list[frozenset[int]]) -> frozenset[int]:
-    merged = frozenset.intersection(*sets)
-    return merged if merged else frozenset.union(*sets)

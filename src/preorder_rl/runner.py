@@ -20,8 +20,8 @@ from . import stats as stats_mod
 from .comparators import ComparatorConfig, QuantileMatrix
 from .config import RunConfig, Variant, config_hash, parse_config
 from .envs import make_env
-from .errors import MissingArtifact
-from .learner import evaluate, load_tensor, save_episode_log, save_tensor, train
+from .errors import MissingArtifact, ShapeMismatch
+from .learner import _check_env, evaluate, load_tensor, save_episode_log, save_tensor, train
 from .plots import interval_plot_svg
 from .preorder import PreorderGraph
 from .selection import global_leaf_survivors, select
@@ -56,6 +56,9 @@ def _train_job(raw: dict, label: str, seed: int, out_dir: str) -> str:
 def run_train(config: RunConfig, out_dir, seeds=None, jobs: int = 1) -> Path:
     """Train every variant for every seed; returns the run directory."""
     seeds = tuple(seeds) if seeds is not None else config.seeds
+    env = make_env(config.env)
+    for variant in config.variants:
+        _check_env(env, variant.learner_config(config), variant.graph)
     base = run_dir(config, out_dir)
     base.mkdir(parents=True, exist_ok=True)
     (base / "config.json").write_text(json.dumps(config.raw, indent=2, sort_keys=True) + "\n")
@@ -91,7 +94,8 @@ def run_evaluate(config: RunConfig, out_dir, seeds=None) -> Path:
     rates, mean progress, mean per-objective returns) and ``scores.csv``
     in the ``algorithm,seed,run,score`` layout consumed by the stats
     step, scoring each run by its success rate.  Raises
-    :class:`MissingArtifact` when a tensor is missing.
+    :class:`MissingArtifact` when a tensor is missing and
+    :class:`ShapeMismatch` when its shape disagrees with the config.
     """
     seeds = tuple(seeds) if seeds is not None else config.seeds
     base = run_dir(config, out_dir)
@@ -101,8 +105,14 @@ def run_evaluate(config: RunConfig, out_dir, seeds=None) -> Path:
     for variant in config.variants:
         learner_config = variant.learner_config(config)
         for seed in seeds:
-            tensor = load_tensor(artifact_dir(config, out_dir, variant.label, seed) / "tensor.csv")
+            path = artifact_dir(config, out_dir, variant.label, seed) / "tensor.csv"
+            tensor = load_tensor(path)
             env = make_env(config.env)
+            expected = (learner_config.n_heads, env.n_states, env.n_actions,
+                        config.quantile_count)
+            if tensor.values.shape != expected:
+                raise ShapeMismatch(f"variant {variant.label}, seed {seed}: {path} has shape "
+                                    f"{tensor.values.shape}, expected {expected}")
             for run in range(config.eval_runs):
                 records = evaluate(env, tensor, learner_config, variant.graph,
                                    seed * _EVAL_SEED_STRIDE + run, config.eval_episodes)

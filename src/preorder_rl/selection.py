@@ -103,19 +103,17 @@ def select(graph: PreorderGraph, quantiles: Sequence[QuantileMatrix],
         conflicts = dom_here & dom_by_here
         effective_dom_by = dom_by_here & ~conflicts
 
-        up_list = sorted(up)
         up_mask = np.zeros(n_actions, dtype=bool)
-        up_mask[up_list] = True
-        kept = [a for a in up_list if not np.any(effective_dom_by[a] & up_mask)]
-        if not kept:
+        up_mask[list(up)] = True
+        kept = up_mask & ~(effective_dom_by & up_mask).any(axis=1)
+        if not kept.any():
             # Circular verdicts can eliminate everyone; keep the
             # best-scored inherited survivors so the set stays usable.
             scores = action_scores(quantiles[obj], cfgs[obj])
-            best = scores[up_list].max()
-            kept = [a for a in up_list if scores[a] == best]
+            kept = up_mask & (scores == scores[up_mask].max())
             fallbacks.append(obj)
             _log.debug("fallback at objective %d: no inherited survivor kept", obj)
-        survivors[obj] = frozenset(kept)
+        survivors[obj] = frozenset(np.flatnonzero(kept).tolist())
         dom[obj] = dom_here
         dom_by[obj] = dom_by_here
     return SelectionState(dom, dom_by, survivors, tuple(fallbacks))

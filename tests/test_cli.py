@@ -180,6 +180,37 @@ def test_shape_problems_exit_4(tmp_path, capsys) -> None:
     assert stats_ok == EXIT_CONFIG
 
 
+def test_objective_count_mismatch_fails_before_train_writes(tmp_path, capsys) -> None:
+    config = write_config(tmp_path, preorder={"n_objectives": 5})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert "objective counts disagree" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_non_scalar_env_param_exits_2_and_names_the_field(tmp_path, capsys) -> None:
+    config = write_config(tmp_path, env={"name": "crossing-grid", "params": {"width": [1]}})
+    code = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "env.params" in capsys.readouterr().err
+
+
+def test_truncated_tensor_fails_evaluation(tmp_path, capsys) -> None:
+    # A tensor cut at a head boundary still has a consistent row count.
+    config = write_config(tmp_path, variants=[
+        {"label": "flat", "mode": "mean-aggregation", "training_preorder": False}])
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    tensor = next(out.iterdir()) / "flat" / "0" / "tensor.csv"
+    lines = tensor.read_text().splitlines(keepends=True)
+    tensor.write_text("".join(line for line in lines if not line.startswith("1,")))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config), "--out", str(out)]) == EXIT_SHAPE
+    err = capsys.readouterr().err
+    assert "variant flat, seed 0" in err and str(tensor) in err
+
+
 def test_unknown_subcommand_raises_usage_error() -> None:
     with pytest.raises(SystemExit) as caught:
         main(["tune", "--config", "x"])

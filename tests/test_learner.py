@@ -19,6 +19,7 @@ from preorder_rl.learner import (
     LearnerConfig,
     QuantileTensor,
     VectorTransition,
+    _pinball_step,
     act,
     evaluate,
     greedy_target_action,
@@ -199,6 +200,22 @@ def test_preorder_training_filters_bootstrap_targets() -> None:
     assert np.array_equal(filtered.values[0], free.values[0])
     assert not np.array_equal(filtered.values[1, 0, 0], free.values[1, 0, 0])
     assert np.all(free.values[1, 0, 0] >= filtered.values[1, 0, 0])
+
+
+def test_weighted_sum_update_bootstraps_the_weighted_reward() -> None:
+    weights, rewards = (0.5, 2.0), (1.5, -0.25)
+    config = LearnerConfig(n_objectives=2, gammas=(0.8, 0.3), mode=WEIGHTED_SUM,
+                           weights=weights, quantile_count=4, learning_rate=0.3)
+    tensor = QuantileTensor.zeros(1, 2, 3, 4)
+    tensor.values[:] = np.random.default_rng(17).normal(size=tensor.values.shape)
+    expected = tensor.values[0, 0, 2].copy()
+    best = int(np.argmax(tensor.values[0, 1].mean(axis=1)))
+    targets = np.dot(weights, rewards) + 0.8 * tensor.values[0, 1, best]
+    _pinball_step(expected, targets, tensor.fractions, 0.3, 0.0)
+    after = tensor.values.copy()
+    after[0, 0, 2] = expected
+    td_update(tensor, VectorTransition(0, 2, rewards, 1, False), config, CHAIN2)
+    assert np.array_equal(tensor.values, after)
 
 
 def test_act_modes() -> None:
