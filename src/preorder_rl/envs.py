@@ -15,6 +15,7 @@ through the generator passed in, so runs are reproducible.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -63,6 +64,13 @@ def _params(spec: EnvSpec, defaults: dict[str, object]) -> dict[str, object]:
     return merged
 
 
+def _finite(params: dict[str, object], name: str) -> float:
+    value = float(params[name])
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {params[name]!r}")
+    return value
+
+
 class ConflictBandit:
     """One state, two actions, two objectives (safety, progress).
 
@@ -83,13 +91,13 @@ class ConflictBandit:
             "safe_progress": 0.5,
             "risky_progress": 1.0,
         })
-        if not (0.0 <= float(p["crash_prob"]) <= 1.0):
+        self.crash_prob = _finite(p, "crash_prob")
+        if not (0.0 <= self.crash_prob <= 1.0):
             raise ConfigError(f"crash_prob must lie in [0, 1], got {p['crash_prob']}")
         self.spec = spec
-        self.crash_prob = float(p["crash_prob"])
-        self.crash_penalty = float(p["crash_penalty"])
-        self.safe_progress = float(p["safe_progress"])
-        self.risky_progress = float(p["risky_progress"])
+        self.crash_penalty = _finite(p, "crash_penalty")
+        self.safe_progress = _finite(p, "safe_progress")
+        self.risky_progress = _finite(p, "risky_progress")
         self.n_states = 1
         self.n_actions = 2
         self.n_objectives = 2
@@ -176,6 +184,14 @@ class CrossingGrid:
     neighbour, own cell) will be occupied after the next car advance;
     off-grid cells count as blocked.  The far cell of the two-row
     advance is not observed, so the fast move is always a gamble.
+
+    Each traffic row is one int bitmask, bit ``c`` set when a car stands
+    in column ``c``, and a car advance rotates it by one column.  For
+    byte-identical reruns ``reset`` draws, per traffic row from the
+    bottom up, one ``rng.random()`` for the direction (right when below
+    0.5) and then one ``rng.integers(width)`` for the phase; car ``i``
+    of the row starts in column ``(phase + width * i // cars_per_row) %
+    width``.
     """
 
     STAY = 0
@@ -213,19 +229,24 @@ class CrossingGrid:
         self.height = height
         self.cars_per_row = self._DENSITY[density]
         self.lane_halfwidth = int(p["lane_halfwidth"])
-        self.crash_penalty = float(p["crash_penalty"])
-        self.risk_penalty = float(p["risk_penalty"])
-        self.lane_penalty = float(p["lane_penalty"])
-        self.progress_per_row = float(p["progress_per_row"])
-        self.goal_bonus = float(p["goal_bonus"])
-        self.comfort_penalty = float(p["comfort_penalty"])
+        self.crash_penalty = _finite(p, "crash_penalty")
+        self.risk_penalty = _finite(p, "risk_penalty")
+        self.lane_penalty = _finite(p, "lane_penalty")
+        self.progress_per_row = _finite(p, "progress_per_row")
+        self.goal_bonus = _finite(p, "goal_bonus")
+        self.comfort_penalty = _finite(p, "comfort_penalty")
         self.n_states = width * height * 16
         self.n_actions = 5
         self.n_objectives = 5
         self.objective_names = ("safety", "risk", "lane", "progress", "comfort")
-        self._traffic_rows = tuple(range(height - 1))
-        self._directions: dict[int, int] = {}
-        self._cars: dict[int, np.ndarray] = {}
+        self._full = (1 << width) - 1
+        # The row-0 convoy at phase 0; reset rotates it by the drawn phase.
+        self._convoy = sum(1 << (width * i // self.cars_per_row)
+                           for i in range(self.cars_per_row))
+        # Car bitmask and left-rotation per traffic row, bottom up: a
+        # rotation of 1 moves the cars right, width - 1 moves them left.
+        self._lanes: list[int] = []
+        self._shifts: list[int] = []
         self._row = 0
         self._col = width // 2
         self._speed = 0
@@ -233,11 +254,10 @@ class CrossingGrid:
     def reset(self, rng: np.random.Generator) -> int:
         # Evenly spread convoys, random phase and direction per row: a
         # small pattern space keeps every car constellation revisited.
-        spread = (self.width * np.arange(self.cars_per_row)) // self.cars_per_row
-        for row in self._traffic_rows:
-            self._directions[row] = 1 if rng.random() < 0.5 else -1
-            phase = int(rng.integers(self.width))
-            self._cars[row] = (phase + spread) % self.width
+        self._lanes, self._shifts = [], []
+        for _ in range(self.height - 1):
+            self._shifts.append(1 if rng.random() < 0.5 else self.width - 1)
+            self._lanes.append(self._rotate(self._convoy, int(rng.integers(self.width))))
         self._row = 0
         self._col = self.width // 2
         self._speed = 0
@@ -290,28 +310,35 @@ class CrossingGrid:
             progress=end_row / (self.height - 1),
         )
 
+    def _rotate(self, mask: int, shift: int) -> int:
+        return (mask << shift | mask >> (self.width - shift)) & self._full
+
     def _advance_cars(self) -> None:
-        for row in self._traffic_rows:
-            self._cars[row] = (self._cars[row] + self._directions[row]) % self.width
+        self._lanes = [self._rotate(mask, shift)
+                       for mask, shift in zip(self._lanes, self._shifts)]
+
+    def _lane(self, row: int) -> int:
+        # A list index of -1 would wrap to the top traffic row.
+        return self._lanes[row] if 0 <= row < len(self._lanes) else 0
 
     def _occupied(self, row: int, col: int) -> bool:
-        return row in self._cars and bool(np.any(self._cars[row] == col))
+        # Callers pass on-grid cells only: a negative shift raises.
+        return bool(self._lane(row) >> col & 1)
 
     def _car_adjacent(self, row: int, col: int) -> bool:
-        for r in (row - 1, row, row + 1):
-            if r in self._cars and np.any(np.abs(self._cars[r] - col) <= 1):
-                return True
-        return False
+        # Columns col-1, col and col+1 land on bits 0-2; no wrap-around.
+        cars = self._lane(row - 1) | self._lane(row) | self._lane(row + 1)
+        return bool(cars << 1 >> col & 0b111)
 
     def _blocked_next(self, row: int, col: int) -> bool:
         if col < 0 or col >= self.width:
             return True
-        if row not in self._cars:
+        if not 0 <= row < len(self._lanes):
             return False
         # Cars move deterministically: the cell is blocked next step
         # when the car one column upstream sits there now.
-        source = (col - self._directions[row]) % self.width
-        return bool(np.any(self._cars[row] == source))
+        source = (col - self._shifts[row]) % self.width
+        return bool(self._lanes[row] >> source & 1)
 
     def _threat_bits(self, row: int, col: int) -> int:
         # One bit per single-step destination; the two-row advance's far
@@ -334,8 +361,8 @@ class CrossingGrid:
             for col in range(self.width):
                 if (row, col) == (self._row, self._col):
                     cells.append("E")
-                elif row in self._cars and np.any(self._cars[row] == col):
-                    cells.append(">" if self._directions[row] > 0 else "<")
+                elif self._occupied(row, col):
+                    cells.append(">" if self._shifts[row] == 1 else "<")
                 elif row == self.height - 1:
                     cells.append("=")
                 else:

@@ -198,13 +198,19 @@ class EpisodeRecord:
     progress: float
 
 
+def _last_axis_mean(x: np.ndarray) -> np.ndarray:
+    # ndarray.mean is this same sum and division, behind a Python-level
+    # wrapper that costs more than the arithmetic on these small arrays.
+    return x.sum(axis=-1) / x.shape[-1]
+
+
 def greedy_target_action(tensor: QuantileTensor, head: int, state: int,
                          allowed: frozenset[int] | None = None) -> int:
     """Lowest-index action maximizing the mean quantile value, searched
     over ``allowed`` (all actions when None)."""
-    means = tensor.values[head, state].mean(axis=1)
+    means = _last_axis_mean(tensor.values[head, state])
     if allowed is None:
-        return int(np.argmax(means))
+        return int(means.argmax())
     candidates = sorted(allowed)
     if not candidates:
         raise EmptySetError(f"no allowed actions at state {state}, head {head}")
@@ -213,20 +219,24 @@ def greedy_target_action(tensor: QuantileTensor, head: int, state: int,
 
 def _pinball_step(theta: np.ndarray, targets: np.ndarray, fractions: np.ndarray,
                   learning_rate: float, kappa: float) -> None:
-    delta = targets[None, :] - theta[:, None]
-    indicator = (delta < 0.0).astype(float)
+    """Move ``theta`` (..., K) in place toward ``targets`` (..., M).
+
+    Leading axes index heads: each row of ``theta`` steps toward the
+    matching row of ``targets``, averaging over its own M targets.
+    """
+    below = targets[..., None, :] < theta[..., :, None]
     if kappa == 0.0:
-        grad = (fractions[:, None] - indicator).mean(axis=1)
+        grad = fractions[:, None] - below
     else:
-        grad = (np.abs(fractions[:, None] - indicator)
-                * np.clip(delta, -kappa, kappa) / kappa).mean(axis=1)
-    theta += learning_rate * grad
+        delta = targets[..., None, :] - theta[..., :, None]
+        grad = np.abs(fractions[:, None] - below) * np.clip(delta, -kappa, kappa) / kappa
+    theta += learning_rate * _last_axis_mean(grad)
 
 
 def td_update(tensor: QuantileTensor, transition: VectorTransition,
               config: LearnerConfig, graph: PreorderGraph,
               learning_rate: float | None = None) -> QuantileTensor:
-    """One in-place distributional TD step on every head.
+    """One in-place distributional TD step on every head at once.
 
     Greedy bootstrap actions are chosen per head.  In preorder mode with
     ``training_preorder`` set, the choice at the successor state is
@@ -240,18 +250,17 @@ def td_update(tensor: QuantileTensor, transition: VectorTransition,
     rewards = transition.rewards
     if config.mode == WEIGHTED_SUM:
         rewards = (np.dot(config.weights, rewards),)
-    allowed: dict[int, frozenset[int]] = {}
-    if config.mode == PREORDER and config.training_preorder and not transition.terminal:
-        allowed = select(graph, tensor.matrices(s2), config.comparator).survivors
-    for i in range(config.n_heads):
-        reward = float(rewards[i])
-        if transition.terminal:
-            targets = np.array([reward])
-        else:
-            best = greedy_target_action(tensor, i, s2, allowed.get(i))
-            targets = reward + config.gammas[i] * tensor.values[i, s2, best]
-        _pinball_step(tensor.values[i, s, a], targets, tensor.fractions,
-                      rate, config.huber_kappa)
+    if transition.terminal:
+        targets = np.array(rewards, dtype=float)[:, None]
+    else:
+        allowed: dict[int, frozenset[int]] = {}
+        if config.mode == PREORDER and config.training_preorder:
+            allowed = select(graph, tensor.matrices(s2), config.comparator).survivors
+        targets = np.array([
+            float(rewards[i]) + config.gammas[i]
+            * tensor.values[i, s2, greedy_target_action(tensor, i, s2, allowed.get(i))]
+            for i in range(config.n_heads)])
+    _pinball_step(tensor.values[:, s, a], targets, tensor.fractions, rate, config.huber_kappa)
     return tensor
 
 

@@ -196,6 +196,23 @@ def test_non_scalar_env_param_exits_2_and_names_the_field(tmp_path, capsys) -> N
     assert "env.params" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", float("nan")], ids=["string", "json-literal"])
+def test_non_finite_env_param_exits_2_before_train_writes(tmp_path, capsys, value) -> None:
+    # float("nan") is written as the JSON NaN literal, which json.loads accepts.
+    config = write_config(
+        tmp_path,
+        env={"name": "crossing-grid", "episode_cap": 5, "params": {"risk_penalty": value}},
+        preorder={"n_objectives": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]},
+        variants=[{"label": "ws", "mode": "weighted-sum", "training_preorder": False,
+                   "weights": [1, 1, 1, 1, 1]},
+                  {"label": "pr", "comparator": {"kind": "qd", "epsilon": 0.2}}])
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert "risk_penalty" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_truncated_tensor_fails_evaluation(tmp_path, capsys) -> None:
     # A tensor cut at a head boundary still has a consistent row count.
     config = write_config(tmp_path, variants=[

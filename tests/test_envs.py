@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,15 @@ def test_bandit_risky_arm_crash_frequency() -> None:
 def test_bandit_validates_crash_prob() -> None:
     with pytest.raises(ConfigError):
         make_env(EnvSpec("conflict-bandit", params={"crash_prob": 1.5}))
+
+
+@pytest.mark.parametrize(("name", "param"), [
+    ("conflict-bandit", "crash_prob"), ("conflict-bandit", "crash_penalty"),
+    ("crossing-grid", "risk_penalty"), ("crossing-grid", "goal_bonus")])
+def test_non_finite_float_params_are_rejected_by_name(name, param) -> None:
+    for value in (float("nan"), "nan", float("inf"), "-inf"):
+        with pytest.raises(ConfigError, match=param):
+            make_env(EnvSpec(name, params={param: value}))
 
 
 def test_chain_walks_right_and_pays_at_the_end() -> None:
@@ -309,3 +320,32 @@ def test_render_shape_and_glyphs() -> None:
     expected = env.cars_per_row * (env.height - 1)
     # The agent glyph can hide one car standing on the spawn cell.
     assert expected - 1 <= len(cars) <= expected
+
+
+# sha256 of the transition stream below, recorded on the array-based
+# traffic model that the bitmask rows replaced.
+STREAM_DIGESTS = (
+    ({"density": "high", "risk_penalty": -0.5},
+     "87def2944ef6385707729ea927713860b5b7f28a4e3e2f275162f1eaa12c7304"),
+    ({"density": "low"},
+     "2b158bf2d3138a8fcf777920e61415cd971ccfbbe37f54b033911f4a8f9af4b3"),
+    ({"density": "mid", "width": 9, "height": 6, "lane_halfwidth": 1},
+     "9ae8c083c4dc1c442abf05d6d94fac8b09e062d75e4212cc429db5802a89f8fc"),
+)
+
+
+@pytest.mark.parametrize(("params", "digest"), STREAM_DIGESTS)
+def test_grid_transition_stream_matches_recorded_digest(params, digest) -> None:
+    stream = hashlib.sha256()
+    for seed in range(3):
+        env = grid(**params)
+        rng = np.random.default_rng(seed)
+        stream.update(repr(env.reset(rng)).encode())
+        for step in range(5000):
+            result = env.step(int(rng.integers(5)), rng)
+            stream.update(repr(result).encode())
+            if step % 500 == 0:
+                stream.update(env.render().encode())
+            if result.terminal:
+                stream.update(repr(env.reset(rng)).encode())
+    assert stream.hexdigest() == digest

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from preorder_rl.comparators import ComparatorConfig
+from preorder_rl.comparators import ComparatorConfig, midpoint_fractions
 from preorder_rl.envs import EnvSpec, make_env
 from preorder_rl.errors import ConfigError, EmptySetError, MissingArtifact, ShapeMismatch
 from preorder_rl.learner import (
@@ -31,6 +31,7 @@ from preorder_rl.learner import (
     train,
 )
 from preorder_rl.preorder import PreorderGraph, build_graph
+from preorder_rl.selection import select
 
 ONE = build_graph(1, [])
 CHAIN2 = build_graph(2, [(0, 1)])
@@ -216,6 +217,64 @@ def test_weighted_sum_update_bootstraps_the_weighted_reward() -> None:
     after[0, 0, 2] = expected
     td_update(tensor, VectorTransition(0, 2, rewards, 1, False), config, CHAIN2)
     assert np.array_equal(tensor.values, after)
+
+
+def test_huber_pinball_step_matches_plain_python_reference() -> None:
+    kappa, rate = 0.5, 0.3
+    fractions = midpoint_fractions(4)
+    theta = np.array([-0.4, 0.1, 0.35, 1.2])
+    # Targets on both sides of every quantile, some beyond kappa.
+    targets = np.array([-1.5, -0.2, 0.15, 0.3, 0.9, 2.0])
+    expected = []
+    for tau, value in zip(fractions.tolist(), theta.tolist()):
+        total = 0.0
+        for target in targets.tolist():
+            delta = target - value
+            weight = abs(tau - (1.0 if delta < 0.0 else 0.0))
+            total += weight * max(-kappa, min(kappa, delta)) / kappa
+        expected.append(value + rate * total / len(targets))
+    _pinball_step(theta, targets, fractions, rate, kappa)
+    assert theta.tolist() == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+
+def _per_head_td_update(tensor: QuantileTensor, transition: VectorTransition,
+                        config: LearnerConfig, graph: PreorderGraph) -> None:
+    """One 1-D pinball step per head, in head order."""
+    s, a, s2 = transition.state, transition.action, transition.next_state
+    allowed = {}
+    if config.mode == PREORDER and config.training_preorder and not transition.terminal:
+        allowed = select(graph, tensor.matrices(s2), config.comparator).survivors
+    for i in range(config.n_heads):
+        reward = float(transition.rewards[i])
+        if transition.terminal:
+            targets = np.array([reward])
+        else:
+            best = greedy_target_action(tensor, i, s2, allowed.get(i))
+            targets = reward + config.gammas[i] * tensor.values[i, s2, best]
+        _pinball_step(tensor.values[i, s, a], targets, tensor.fractions,
+                      config.learning_rate, config.huber_kappa)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+@pytest.mark.parametrize(("mode", "training_preorder"), [
+    (MEAN_AGGREGATION, False), (PREORDER, True), (PREORDER, False)])
+def test_batched_update_matches_per_head_steps(mode, training_preorder, kappa) -> None:
+    rng = np.random.default_rng(2718)
+    graph = build_graph(3, [(0, 1), (0, 2)])
+    config = LearnerConfig(n_objectives=3, gammas=(0.9, 0.7, 0.4), mode=mode,
+                           training_preorder=training_preorder, huber_kappa=kappa,
+                           comparator=ComparatorConfig("qd", epsilon=0.1),
+                           quantile_count=8, learning_rate=0.2)
+    for trial in range(40):
+        tensor = QuantileTensor.zeros(3, 4, 5, 8)
+        tensor.values[:] = rng.normal(size=tensor.values.shape)
+        reference = tensor.copy()
+        transition = VectorTransition(int(rng.integers(4)), int(rng.integers(5)),
+                                      tuple(rng.normal(size=3).tolist()),
+                                      int(rng.integers(4)), trial % 2 == 0)
+        td_update(tensor, transition, config, graph)
+        _per_head_td_update(reference, transition, config, graph)
+        assert np.array_equal(tensor.values, reference.values)
 
 
 def test_act_modes() -> None:
