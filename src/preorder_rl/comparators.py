@@ -6,12 +6,15 @@ ideal profile (the pointwise best across actions), and scores each
 action by the negative 1-Wasserstein distance of its column to that
 ideal.  Pairwise score gaps thresholded by a tolerance give dominance
 verdicts.  Lower-tail and mean-variance scorers are provided as drop-in
-alternatives for ablations.
+alternatives for ablations.  :func:`score_heads` is the one scorer: it
+scores a stack of heads in one vectorized pass, and the per-matrix
+entry points are its one-head case.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,6 +63,14 @@ class QuantileMatrix:
             raise ValueError("fractions must be strictly increasing within (0, 1)")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "fractions", fractions)
+
+    @classmethod
+    def _view(cls, values: np.ndarray, fractions: np.ndarray) -> "QuantileMatrix":
+        """Wrap arrays the caller already keeps valid, skipping the checks."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "values", values)
+        object.__setattr__(matrix, "fractions", fractions)
+        return matrix
 
     @classmethod
     def from_values(cls, values) -> "QuantileMatrix":
@@ -114,17 +125,32 @@ class PairwiseDecision:
     dom_by: np.ndarray
 
 
+def _last_axis_mean(x: np.ndarray) -> np.ndarray:
+    # ndarray.mean is this same sum and division, behind a Python-level
+    # wrapper that costs more than the arithmetic on these small arrays.
+    return x.sum(axis=-1) / x.shape[-1]
+
+
 def _zscore(values: np.ndarray) -> np.ndarray:
-    std = float(values.std())
-    if std < ZERO_VARIANCE_STD:
-        return np.zeros_like(values)
-    return (values - values.mean()) / std
+    """Standardize each head (leading axis) over all of its own entries,
+    with the same sums ``ndarray.mean`` and ``ndarray.std`` perform."""
+    axes = tuple(range(1, values.ndim))
+    count = values[0].size
+    dev = values - values.sum(axis=axes, keepdims=True) / count
+    std = np.sqrt((dev * dev).sum(axis=axes, keepdims=True) / count)
+    flat = std < ZERO_VARIANCE_STD
+    if not flat.any():
+        return dev / std
+    normalized = dev / np.where(flat, 1.0, std)
+    normalized[flat.reshape(-1)] = 0.0
+    return normalized
 
 
 def _w1_to_ideal(values: np.ndarray, ideal: np.ndarray | None = None) -> np.ndarray:
+    """W1 distance of each (..., action, quantile) row to the ideal profile."""
     if ideal is None:
-        ideal = values.max(axis=1)
-    return np.abs(values - np.asarray(ideal, dtype=float)[:, None]).mean(axis=0)
+        ideal = values.max(axis=-2, keepdims=True)
+    return _last_axis_mean(np.abs(values - ideal))
 
 
 def zscore_normalize(matrix: QuantileMatrix) -> QuantileMatrix:
@@ -133,7 +159,7 @@ def zscore_normalize(matrix: QuantileMatrix) -> QuantileMatrix:
     A matrix whose spread is below ``ZERO_VARIANCE_STD`` maps to all
     zeros, which downstream scorers treat as total indifference.
     """
-    return QuantileMatrix(_zscore(matrix.values), matrix.fractions)
+    return QuantileMatrix(_zscore(matrix.values[None])[0], matrix.fractions)
 
 
 def ideal_profile(matrix: QuantileMatrix) -> np.ndarray:
@@ -145,32 +171,41 @@ def ideal_profile(matrix: QuantileMatrix) -> np.ndarray:
 def w1_to_ideal(matrix: QuantileMatrix, ideal: np.ndarray | None = None) -> np.ndarray:
     """1-Wasserstein distance of every action's column to the ideal
     profile, i.e. the mean absolute per-quantile gap."""
-    return _w1_to_ideal(matrix.values, ideal)
+    return _w1_to_ideal(matrix.values.T, None if ideal is None else np.asarray(ideal, dtype=float))
 
 
 def qd(matrix: QuantileMatrix) -> np.ndarray:
     """Antisymmetric matrix of pairwise score gaps on an already
     normalized matrix: entry (a, b) is score(a) - score(b), where the
     score is the negative W1 distance to the ideal profile."""
-    scores = -_w1_to_ideal(matrix.values)
+    scores = -_w1_to_ideal(matrix.values.T)
     return scores[:, None] - scores[None, :]
 
 
-def action_scores(matrix: QuantileMatrix, config: ComparatorConfig) -> np.ndarray:
-    """Normalize the matrix and score every action under ``config``."""
-    return _scores(matrix.values, config)
+def score_heads(values: np.ndarray, config: ComparatorConfig) -> np.ndarray:
+    """Score every action of every head of raw (heads, actions, quantiles)
+    values under one ``config``; returns (heads, actions).
 
-
-def _scores(values: np.ndarray, config: ComparatorConfig) -> np.ndarray:
-    """Score every action of a raw (quantiles, actions) array on its z-scored copy."""
+    Each head is z-scored on its own, then scored along the quantile axis.
+    Heads are reduced in their memory order, so a (quantiles, actions)
+    matrix passed as ``matrix.values.T[None]`` scores exactly as it does
+    stacked with others of the same layout.
+    """
     normalized = _zscore(values)
     if config.kind == QUANTILE_DOMINANCE:
         return -_w1_to_ideal(normalized)
     if config.kind == LOWER_TAIL:
-        tail = int(np.ceil(config.cvar_alpha * normalized.shape[0]))
-        return np.sort(normalized, axis=0)[:tail].mean(axis=0)
+        tail = math.ceil(config.cvar_alpha * normalized.shape[-1])
+        return _last_axis_mean(np.sort(normalized, axis=-1)[..., :tail])
     # mean-variance: penalize spread with the population variance
-    return normalized.mean(axis=0) - config.mv_lambda * normalized.var(axis=0)
+    mean = normalized.sum(axis=-1, keepdims=True) / normalized.shape[-1]
+    dev = normalized - mean
+    return mean[..., 0] - config.mv_lambda * _last_axis_mean(dev * dev)
+
+
+def action_scores(matrix: QuantileMatrix, config: ComparatorConfig) -> np.ndarray:
+    """Normalize the matrix and score every action under ``config``."""
+    return score_heads(matrix.values.T[None], config)[0]
 
 
 def classify_pairs(matrix: QuantileMatrix, config: ComparatorConfig,

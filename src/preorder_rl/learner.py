@@ -12,6 +12,17 @@ set by its quantile fraction.  Three policy modes share the machinery:
   table, play greedily on its mean.
 * ``mean-aggregation``: learn all tables, play greedily on the mean
   across objectives, ignoring the priority structure.
+
+``train`` and ``evaluate`` each keep one selection memo per call: a dict
+from state to the :class:`~preorder_rl.selection.SelectionState` the
+filter last produced there.  ``act`` and ``td_update`` read and fill it;
+``td_update`` drops the entry of the state whose cell it writes, the
+only state whose quantiles changed.  Evaluation never drops entries,
+because its tensor is frozen.  Exploration draws happen before the memo
+is consulted and the filter draws no random numbers, so the memo
+changes no result.  ``QuantileTensor.matrices`` hands the filter
+unvalidated views; the finite check moved to ``td_update``, which
+raises on the first cell that leaves the finite range.
 """
 
 from __future__ import annotations
@@ -23,10 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .comparators import ComparatorConfig, QuantileMatrix, midpoint_fractions
+from .comparators import ComparatorConfig, QuantileMatrix, _last_axis_mean, midpoint_fractions
 from .errors import ConfigError, EmptySetError, MissingArtifact, ShapeMismatch
 from .preorder import PreorderGraph
-from .selection import global_leaf_survivors, sample_action, select
+from .selection import SelectionState, global_leaf_survivors, sample_action, select
 
 PREORDER = "preorder"
 WEIGHTED_SUM = "weighted-sum"
@@ -166,12 +177,11 @@ class QuantileTensor:
     def n_quantiles(self) -> int:
         return self.values.shape[3]
 
-    def matrix(self, head: int, state: int) -> QuantileMatrix:
-        """The (quantiles, actions) view of one head at one state."""
-        return QuantileMatrix(self.values[head, state].T, self.fractions)
-
     def matrices(self, state: int) -> list[QuantileMatrix]:
-        return [self.matrix(h, state) for h in range(self.n_heads)]
+        """Unvalidated (quantiles, actions) views of every head at
+        ``state``; ``td_update`` keeps the tensor finite instead."""
+        fractions = self.fractions
+        return [QuantileMatrix._view(head.T, fractions) for head in self.values[:, state]]
 
     def copy(self) -> "QuantileTensor":
         return QuantileTensor(self.values.copy(), self.fractions.copy())
@@ -196,12 +206,6 @@ class EpisodeRecord:
     collision: bool
     offroad: bool
     progress: float
-
-
-def _last_axis_mean(x: np.ndarray) -> np.ndarray:
-    # ndarray.mean is this same sum and division, behind a Python-level
-    # wrapper that costs more than the arithmetic on these small arrays.
-    return x.sum(axis=-1) / x.shape[-1]
 
 
 def greedy_target_action(tensor: QuantileTensor, head: int, state: int,
@@ -233,9 +237,20 @@ def _pinball_step(theta: np.ndarray, targets: np.ndarray, fractions: np.ndarray,
     theta += learning_rate * _last_axis_mean(grad)
 
 
+def _selection(tensor: QuantileTensor, state: int, config: LearnerConfig,
+               graph: PreorderGraph, memo: dict | None) -> SelectionState:
+    """The filter's result at ``state``, read from or stored in ``memo``."""
+    if memo is None:
+        return select(graph, tensor.matrices(state), config.comparator)
+    chosen = memo.get(state)
+    if chosen is None:
+        chosen = memo[state] = select(graph, tensor.matrices(state), config.comparator)
+    return chosen
+
+
 def td_update(tensor: QuantileTensor, transition: VectorTransition,
               config: LearnerConfig, graph: PreorderGraph,
-              learning_rate: float | None = None) -> QuantileTensor:
+              learning_rate: float | None = None, *, memo: dict | None = None) -> QuantileTensor:
     """One in-place distributional TD step on every head at once.
 
     Greedy bootstrap actions are chosen per head.  In preorder mode with
@@ -243,7 +258,11 @@ def td_update(tensor: QuantileTensor, transition: VectorTransition,
     restricted to that objective's survivor set; terminal transitions
     collapse the target to the immediate reward.  The weighted-sum head
     learns the weighted reward.  ``learning_rate`` defaults to
-    ``config.learning_rate``.
+    ``config.learning_rate``.  The updated state's entry leaves ``memo``.
+
+    Raises:
+        ValueError: the step left a non-finite estimate in the written
+            cell; the error names its state and action.
     """
     s, a, s2 = transition.state, transition.action, transition.next_state
     rate = config.learning_rate if learning_rate is None else learning_rate
@@ -255,26 +274,33 @@ def td_update(tensor: QuantileTensor, transition: VectorTransition,
     else:
         allowed: dict[int, frozenset[int]] = {}
         if config.mode == PREORDER and config.training_preorder:
-            allowed = select(graph, tensor.matrices(s2), config.comparator).survivors
+            allowed = _selection(tensor, s2, config, graph, memo).survivors
         targets = np.array([
             float(rewards[i]) + config.gammas[i]
             * tensor.values[i, s2, greedy_target_action(tensor, i, s2, allowed.get(i))]
             for i in range(config.n_heads)])
-    _pinball_step(tensor.values[:, s, a], targets, tensor.fractions, rate, config.huber_kappa)
+    cell = tensor.values[:, s, a]
+    _pinball_step(cell, targets, tensor.fractions, rate, config.huber_kappa)
+    if not np.isfinite(cell).all():
+        raise ValueError(f"quantile estimates at state {s}, action {a} are no longer finite")
+    if memo is not None:
+        memo.pop(s, None)
     return tensor
 
 
 def act(tensor: QuantileTensor, state: int, config: LearnerConfig,
-        graph: PreorderGraph, rng: np.random.Generator, epsilon: float = 0.0) -> int:
+        graph: PreorderGraph, rng: np.random.Generator, epsilon: float = 0.0, *,
+        memo: dict | None = None) -> int:
     """Pick an action at ``state`` under the configured mode, with
-    epsilon-greedy exploration layered on top."""
+    epsilon-greedy exploration layered on top.  ``memo`` maps states to
+    their :class:`SelectionState` and is filled on a miss."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(tensor.n_actions))
     if config.mode == PREORDER:
-        chosen = select(graph, tensor.matrices(state), config.comparator)
+        chosen = _selection(tensor, state, config, graph, memo)
         return sample_action(global_leaf_survivors(chosen, graph), rng)
     # Scalar modes: the weighted-sum tensor has a single head.
-    return int(np.argmax(tensor.values[:, state].mean(axis=2).mean(axis=0)))
+    return int((_last_axis_mean(tensor.values[:, state]).sum(axis=0) / tensor.n_heads).argmax())
 
 
 def _check_env(env, config: LearnerConfig, graph: PreorderGraph) -> None:
@@ -285,19 +311,19 @@ def _check_env(env, config: LearnerConfig, graph: PreorderGraph) -> None:
 
 
 def _run_episode(env, tensor, config, graph, rng, episode, epsilon,
-                 learning_rate) -> EpisodeRecord:
+                 learning_rate, memo) -> EpisodeRecord:
     """Play one episode; learn at ``learning_rate`` unless it is None."""
     state = env.reset(rng)
     returns = np.zeros(config.n_objectives)
     success = collision = offroad = False
     progress = 0.0
     for _ in range(env.spec.episode_cap):
-        action = act(tensor, state, config, graph, rng, epsilon=epsilon)
+        action = act(tensor, state, config, graph, rng, epsilon=epsilon, memo=memo)
         result = env.step(action, rng)
         if learning_rate is not None:
             td_update(tensor, VectorTransition(state, action, result.rewards,
                                                result.next_state, result.terminal),
-                      config, graph, learning_rate)
+                      config, graph, learning_rate, memo=memo)
         returns += result.rewards
         success |= result.success
         collision |= result.collision
@@ -326,13 +352,14 @@ def train(env, config: LearnerConfig, graph: PreorderGraph, seed: int,
                            (config.n_heads,))
     tensor.values += init.reshape(-1, 1, 1, 1)
     records = []
+    memo: dict[int, SelectionState] = {}
     for episode in range(episodes):
         rate = config.learning_rate
         if config.learning_rate_end is not None:
             frac = episode / max(episodes - 1, 1)
             rate = max(rate + (config.learning_rate_end - rate) * frac, config.learning_rate_end)
         records.append(_run_episode(env, tensor, config, graph, rng, episode,
-                                    config.epsilon.value(episode), rate))
+                                    config.epsilon.value(episode), rate, memo))
     return tensor, records
 
 
@@ -341,7 +368,8 @@ def evaluate(env, tensor: QuantileTensor, config: LearnerConfig, graph: Preorder
     """Run the greedy policy without learning and log every episode."""
     _check_env(env, config, graph)
     rng = np.random.default_rng(seed)
-    return [_run_episode(env, tensor, config, graph, rng, episode, 0.0, None)
+    memo: dict[int, SelectionState] = {}
+    return [_run_episode(env, tensor, config, graph, rng, episode, 0.0, None, memo)
             for episode in range(episodes)]
 
 

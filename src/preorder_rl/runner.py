@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +63,9 @@ def run_train(config: RunConfig, out_dir, seeds=None, jobs: int = 1) -> Path:
     (base / "config.json").write_text(json.dumps(config.raw, indent=2, sort_keys=True) + "\n")
     pairs = [(variant, seed) for variant in config.variants for seed in seeds]
     if jobs > 1:
+        # Imported here: the pool pulls in multiprocessing, which serial runs never use.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_train_job, config.raw, variant.label, seed, str(out_dir))
                        for variant, seed in pairs]

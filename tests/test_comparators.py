@@ -18,6 +18,7 @@ from preorder_rl.comparators import (
     midpoint_fractions,
     qd,
     save_quantile_csv,
+    score_heads,
     w1_to_ideal,
     zscore_normalize,
 )
@@ -229,3 +230,48 @@ def test_csv_loader_rejects_malformed_files(tmp_path) -> None:
     empty.write_text("tau,a0\n")
     with pytest.raises(ShapeMismatch):
         load_quantile_csv(empty)
+
+
+def _per_matrix_scores(values: np.ndarray, config: ComparatorConfig) -> np.ndarray:
+    """The per-matrix numpy scorer that ``score_heads`` replaced, kept
+    verbatim as the bit-level reference for one (quantiles, actions) array."""
+    std = float(values.std())
+    normalized = (np.zeros_like(values) if std < 1e-12
+                  else (values - values.mean()) / std)
+    if config.kind == "qd":
+        ideal = normalized.max(axis=1)
+        return -np.abs(normalized - ideal[:, None]).mean(axis=0)
+    if config.kind == "cvar":
+        tail = int(np.ceil(config.cvar_alpha * normalized.shape[0]))
+        return np.sort(normalized, axis=0)[:tail].mean(axis=0)
+    return normalized.mean(axis=0) - config.mv_lambda * normalized.var(axis=0)
+
+
+def _random_heads(rng: np.random.Generator, layout: str) -> list[np.ndarray]:
+    """(quantiles, actions) arrays as a quantile tensor's views (quantiles
+    contiguous) or as C-ordered matrices, like ``load_quantile_csv`` returns."""
+    n_heads = int(rng.integers(1, 6))
+    n_actions = int(rng.integers(1, 7))
+    n_quantiles = int(rng.choice([1, 2, 4, 8, 9]))
+    tensor = rng.normal(size=(n_heads, 3, n_actions, n_quantiles)) * 10.0 ** rng.uniform(-3, 3)
+    if rng.random() < 0.3:  # spread below ZERO_VARIANCE_STD, or none at all
+        flat = int(rng.integers(n_heads))
+        tensor[flat] = float(rng.normal()) + 1e-14 * rng.normal(size=tensor[flat].shape) * (
+            rng.random() < 0.5)
+    heads = [tensor[h, 1].T for h in range(n_heads)]
+    return heads if layout == "tensor" else [np.ascontiguousarray(h) for h in heads]
+
+
+@pytest.mark.parametrize("layout", ["tensor", "c-order"])
+@pytest.mark.parametrize("kind", ["qd", "cvar", "mv"])
+def test_score_heads_equals_the_per_matrix_scorer_bit_for_bit(kind, layout) -> None:
+    rng = np.random.default_rng(4242)
+    for _ in range(300):
+        heads = _random_heads(rng, layout)
+        config = ComparatorConfig(kind, cvar_alpha=float(rng.uniform(0.05, 1.0)),
+                                  mv_lambda=float(rng.uniform(0.0, 2.0)))
+        expected = np.array([_per_matrix_scores(h, config) for h in heads])
+        batched = score_heads(np.stack(heads).transpose(0, 2, 1), config)
+        assert batched.tobytes() == expected.tobytes()
+        alone = action_scores(QuantileMatrix.from_values(heads[0]), config)
+        assert alone.tobytes() == expected[0].tobytes()

@@ -310,6 +310,88 @@ def test_act_with_full_exploration_is_uniform() -> None:
     assert np.all(np.abs(counts - draws / 4) <= 3 * sigma)
 
 
+@pytest.mark.parametrize("mode", [WEIGHTED_SUM, MEAN_AGGREGATION])
+def test_scalar_act_matches_the_mean_of_means(mode) -> None:
+    # Small integer values make ties common; the lowest index must win
+    # exactly as with the ndarray.mean expression.
+    rng = np.random.default_rng(31337)
+    config = LearnerConfig(n_objectives=3, gammas=(0.9,) * 3, mode=mode, weights=(1, 1, 1))
+    for trial in range(400):
+        tensor = QuantileTensor.zeros(config.n_heads, 2, int(rng.integers(2, 6)),
+                                      int(rng.choice([1, 2, 8])))
+        if trial % 2:
+            tensor.values[:] = rng.integers(-2, 3, size=tensor.values.shape)
+        else:
+            tensor.values[:] = rng.normal(size=tensor.values.shape)
+        expected = int(np.argmax(tensor.values[:, 1].mean(axis=2).mean(axis=0)))
+        assert act(tensor, 1, config, build_graph(3, []), rng) == expected
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("mode", [PREORDER, WEIGHTED_SUM, MEAN_AGGREGATION])
+def test_update_that_overflows_names_the_cell(mode) -> None:
+    # theta 1e308 stepping toward a 1.7e308 target at rate 1e308: every
+    # quantile from tau = 13/16 up overflows to inf.
+    config = LearnerConfig(n_objectives=2, gammas=(0.9, 0.9), mode=mode, weights=(1.0, 0.0),
+                           learning_rate=1e308, quantile_count=8)
+    tensor = QuantileTensor.filled(config.n_heads, 3, 2, 8, 1.0)
+    tensor.values[:, 0, 1] = 1.0e308
+    transition = VectorTransition(0, 1, (1.7e308, 1.7e308), 2, False)
+    with pytest.raises(ValueError, match="state 0, action 1"):
+        td_update(tensor, transition, config, CHAIN2)
+
+
+def _transition_stream(seed: int, n_states: int):
+    """2000 random (state, rewards, next_state, terminal) tuples."""
+    rng = np.random.default_rng(seed)
+    for _ in range(2000):
+        yield (int(rng.integers(n_states)), tuple(rng.normal(size=3).tolist()),
+               int(rng.integers(n_states)), bool(rng.random() < 0.1))
+
+
+@pytest.mark.parametrize("kind", ["qd", "cvar"])
+def test_selection_memo_changes_no_action_and_no_value(kind) -> None:
+    graph = build_graph(3, [(0, 1), (0, 2)])
+    config = LearnerConfig(n_objectives=3, gammas=(0.9, 0.8, 0.7), quantile_count=4,
+                           comparator=ComparatorConfig(kind, epsilon=0.1), learning_rate=0.3)
+    runs = []
+    for memo in (None, {}):
+        rng = np.random.default_rng(6)
+        tensor = QuantileTensor.zeros(3, 5, 4, 4)
+        tensor.values[:] = np.random.default_rng(7).normal(size=tensor.values.shape)
+        actions = []
+        hits = 0
+        for state, rewards, next_state, terminal in _transition_stream(8, 5):
+            hits += memo is not None and state in memo
+            action = act(tensor, state, config, graph, rng, epsilon=0.2, memo=memo)
+            td_update(tensor, VectorTransition(state, action, rewards, next_state, terminal),
+                      config, graph, memo=memo)
+            actions.append(action)
+        runs.append((actions, tensor.values))
+        if memo is not None:
+            assert hits > 500
+    assert runs[0][0] == runs[1][0]
+    assert np.array_equal(runs[0][1], runs[1][1])
+
+
+def test_update_drops_only_the_written_state_from_the_memo() -> None:
+    graph = build_graph(2, [(0, 1)])
+    config = LearnerConfig(n_objectives=2, gammas=(0.9, 0.9), quantile_count=4)
+    tensor = QuantileTensor.zeros(2, 4, 3, 4)
+    tensor.values[:] = np.random.default_rng(3).normal(size=tensor.values.shape)
+    rng = np.random.default_rng(4)
+    memo = {}
+    for state in range(4):
+        act(tensor, state, config, graph, rng, memo=memo)
+    assert sorted(memo) == [0, 1, 2, 3]
+    cached = memo[3]
+    td_update(tensor, VectorTransition(1, 0, (1.0, 1.0), 3, False), config, graph, memo=memo)
+    assert sorted(memo) == [0, 2, 3]
+    assert memo[3] is cached
+    td_update(tensor, VectorTransition(2, 0, (1.0, 1.0), 2, False), config, graph, memo=memo)
+    assert sorted(memo) == [0, 3]
+
+
 @dataclass
 class _DriftWorld:
     """Two-state one-objective world with action-dependent noisy payoff."""

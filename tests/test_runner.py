@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +159,16 @@ def test_parallel_training_matches_serial(tmp_path) -> None:
         for seed in (0, 1):
             rel = Path(label) / str(seed) / "tensor.csv"
             assert (parallel / rel).read_bytes() == (serial / rel).read_bytes()
+
+
+def test_importing_the_runner_leaves_multiprocessing_unloaded() -> None:
+    # Serial runs never start a pool, so they should not pay its imports.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, preorder_rl.runner; "
+            "sys.exit('multiprocessing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr or "multiprocessing was imported"
 
 
 def test_evaluate_requires_trained_tensor(tmp_path) -> None:
