@@ -21,8 +21,9 @@ only state whose quantiles changed.  Evaluation never drops entries,
 because its tensor is frozen.  Exploration draws happen before the memo
 is consulted and the filter draws no random numbers, so the memo
 changes no result.  ``QuantileTensor.matrices`` hands the filter
-unvalidated views; the finite check moved to ``td_update``, which
-raises on the first cell that leaves the finite range.
+unvalidated views, so the finite checks sit where values enter a
+tensor: ``td_update`` raises on the first cell that leaves the finite
+range, and ``load_tensor`` rejects a file holding a non-finite value.
 """
 
 from __future__ import annotations
@@ -389,7 +390,8 @@ def save_tensor(tensor: QuantileTensor, path) -> None:
 
 
 def load_tensor(path) -> QuantileTensor:
-    """Read a tensor written by :func:`save_tensor`."""
+    """Read a tensor written by :func:`save_tensor`; raises ValueError
+    naming the file when a value is not finite."""
     path = Path(path)
     if not path.exists():
         raise MissingArtifact(f"no tensor at {path}")
@@ -411,6 +413,10 @@ def load_tensor(path) -> QuantileTensor:
     values = np.zeros((heads, states, actions, quantiles))
     for head, state, action, k, value in rows:
         values[head, state, action, k] = value
+    # The filter takes unvalidated views of the tensor, so this is the
+    # one place a non-finite value read from disk is caught.
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: quantile values must be finite")
     return QuantileTensor(values, midpoint_fractions(quantiles))
 
 

@@ -9,10 +9,9 @@ survivor sets, merged through a virtual global leaf, are the actions a
 policy may play.
 
 :func:`select` scores every head in one vectorized
-:func:`~preorder_rl.comparators.score_heads` call per comparator config,
-then walks the graph on Python-int bitmasks: one int per survivor set
-and one per verdict matrix.  The boolean ``dom``/``dom_by`` arrays of
-the returned state are built once, after the walk.
+:func:`~preorder_rl.comparators.score_heads` call per comparator config
+and thresholds all pairwise score gaps of a group at once; the walk
+then combines these boolean verdict matrices objective by objective.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from __future__ import annotations
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_, or_
 
 import numpy as np
 
@@ -96,80 +93,50 @@ def select(graph: PreorderGraph, quantiles: Sequence[QuantileMatrix],
     groups: dict[tuple, list[int]] = {}
     for obj, m in enumerate(quantiles):
         groups.setdefault((cfgs[obj], m.values.shape, m.values.strides), []).append(obj)
-    cells = n_actions * n_actions
-    bits = 1 << np.arange(cells, dtype=np.int64 if cells < 63 else object)
     scores: list = [None] * n_objectives
     above: list = [None] * n_objectives
     below: list = [None] * n_objectives
     for (cfg, _, _), objs in groups.items():
         values = np.stack([quantiles[obj].values for obj in objs]).transpose(0, 2, 1)
         group_scores = score_heads(values, cfg)
-        gap = (group_scores[:, :, None] - group_scores[:, None, :]).reshape(len(objs), cells)
-        for obj, row, beats, beaten in zip(objs, group_scores.tolist(),
-                                           ((gap > cfg.epsilon) @ bits).tolist(),
-                                           ((gap < -cfg.epsilon) @ bits).tolist()):
+        gap = group_scores[:, :, None] - group_scores[:, None, :]
+        for obj, row, beats, beaten in zip(objs, group_scores, gap > cfg.epsilon,
+                                           gap < -cfg.epsilon):
             scores[obj], above[obj], below[obj] = row, beats, beaten
-    dom, dom_by, kept, fallbacks = _walk(graph, scores, above, below)
 
-    order = graph.topological_sort()
-    verdicts = np.array([dom[obj] for obj in order] + [dom_by[obj] for obj in order],
-                        dtype=bits.dtype)
-    verdicts = (verdicts[:, None] >> np.arange(cells) & 1).astype(bool)
-    verdicts = verdicts.reshape(2, n_objectives, n_actions, n_actions)
-    return SelectionState(
-        dict(zip(order, verdicts[0])), dict(zip(order, verdicts[1])),
-        {obj: frozenset(a for a in range(n_actions) if kept[obj] >> a & 1) for obj in order},
-        fallbacks)
-
-
-def _walk(graph: PreorderGraph, scores: list[list[float]], above: list[int],
-          below: list[int]) -> tuple[dict[int, int], dict[int, int], dict[int, int],
-                                     tuple[int, ...]]:
-    """The preorder filter on Python-int bitmasks; returns ``dom``,
-    ``dom_by``, the survivor sets and the fallback objectives.
-
-    A verdict matrix is one int: bit ``a * n_actions + b`` of ``above[obj]``
-    says the comparator at ``obj`` puts action a above action b, and of
-    ``below[obj]`` below it.  A survivor set has bit a for action a.
-    """
-    n_actions = len(scores[0])
-    actions = range(n_actions)
-    row_shifts = [a * n_actions for a in actions]
-    every_row = sum(1 << shift for shift in row_shifts)
-    row = (1 << n_actions) - 1
-    dom: dict[int, int] = {}
-    dom_by: dict[int, int] = {}
-    kept: dict[int, int] = {}
+    off_diagonal = ~np.eye(n_actions, dtype=bool)
+    dom: dict[int, np.ndarray] = {}
+    dom_by: dict[int, np.ndarray] = {}
+    survivors: dict[int, frozenset[int]] = {}
     fallbacks: list[int] = []
     for obj in graph.topological_sort():
-        parents = graph.parents(obj)
-        if parents:
-            sets = [kept[p] for p in parents]
-            up = reduce(and_, sets) or reduce(or_, sets)
-            dom_up = reduce(or_, [dom[p] for p in parents])
-            dom_by_up = reduce(or_, [dom_by[p] for p in parents])
+        parent_ids = sorted(graph.parents(obj))
+        if parent_ids:
+            up = aggregate_survivor_sets([survivors[p] for p in parent_ids])
+            dom_up = np.logical_or.reduce([dom[p] for p in parent_ids])
+            dom_by_up = np.logical_or.reduce([dom_by[p] for p in parent_ids])
         else:
-            up, dom_up, dom_by_up = row, 0, 0
+            up = frozenset(range(n_actions))
+            dom_up = dom_by_up = np.zeros((n_actions, n_actions), dtype=bool)
         # Only pairs no parent has decided take this objective's verdict.
-        undecided = ~(dom_up | dom_by_up)
-        beats = dom_up | (above[obj] & undecided)
-        beaten = dom_by_up | (below[obj] & undecided)
+        undecided = off_diagonal & ~(dom_up | dom_by_up)
+        dom_here = dom_up | (above[obj] & undecided)
+        dom_by_here = dom_by_up | (below[obj] & undecided)
         # An inherited action survives unless an inherited action beats it
         # outside a conflict (a pair decided both ways eliminates no one).
-        hits = beaten & ~beats & up * every_row
-        here = 0
-        for a, shift in zip(actions, row_shifts):
-            if up >> a & 1 and not hits >> shift & row:
-                here |= 1 << a
-        if not here:
+        up_mask = np.zeros(n_actions, dtype=bool)
+        up_mask[list(up)] = True
+        kept = up_mask & ~(dom_by_here & ~dom_here & up_mask).any(axis=1)
+        if not kept.any():
             # Circular verdicts can eliminate everyone; keep the
             # best-scored inherited survivors so the set stays usable.
-            best = max(scores[obj][a] for a in actions if up >> a & 1)
-            here = sum(1 << a for a in actions if up >> a & 1 and scores[obj][a] == best)
+            kept = up_mask & (scores[obj] == scores[obj][up_mask].max())
             fallbacks.append(obj)
             _log.debug("fallback at objective %d: no inherited survivor kept", obj)
-        kept[obj], dom[obj], dom_by[obj] = here, beats, beaten
-    return dom, dom_by, kept, tuple(fallbacks)
+        survivors[obj] = frozenset(np.flatnonzero(kept).tolist())
+        dom[obj] = dom_here
+        dom_by[obj] = dom_by_here
+    return SelectionState(dom, dom_by, survivors, tuple(fallbacks))
 
 
 def global_leaf_survivors(state: SelectionState, graph: PreorderGraph) -> frozenset[int]:

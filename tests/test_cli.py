@@ -228,6 +228,20 @@ def test_truncated_tensor_fails_evaluation(tmp_path, capsys) -> None:
     assert "variant flat, seed 0" in err and str(tensor) in err
 
 
+def test_non_finite_tensor_fails_evaluation(tmp_path, capsys) -> None:
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    tensor = next(out.iterdir()) / "pr" / "0" / "tensor.csv"
+    header, first, *rest = tensor.read_text().splitlines(keepends=True)
+    tensor.write_text("".join([header, first.rsplit(",", 1)[0] + ",nan\n", *rest]))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "finite" in err and str(tensor) in err
+    assert not (next(out.iterdir()) / "evaluate.csv").exists()
+
+
 def test_unknown_subcommand_raises_usage_error() -> None:
     with pytest.raises(SystemExit) as caught:
         main(["tune", "--config", "x"])

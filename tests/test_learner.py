@@ -544,6 +544,12 @@ def test_tensor_loader_rejects_bad_files(tmp_path) -> None:
     truncated.write_text("objective,state,action,k,value\n0,0,0,1,0.5\n")
     with pytest.raises(ShapeMismatch):
         load_tensor(truncated)
+    for bad in ("nan", "inf", "-inf"):
+        diverged = tmp_path / f"{bad}.csv"
+        diverged.write_text(f"objective,state,action,k,value\n0,0,0,0,{bad}\n")
+        with pytest.raises(ValueError, match="finite") as caught:
+            load_tensor(diverged)
+        assert str(diverged) in str(caught.value)
 
 
 def test_episode_log_roundtrip(tmp_path) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from preorder_rl.comparators import ComparatorConfig, QuantileMatrix, classify_pairs
+from preorder_rl.comparators import ComparatorConfig, QuantileMatrix, action_scores, classify_pairs
 from preorder_rl.errors import EmptySetError, ShapeMismatch
 from preorder_rl.preorder import build_graph
 from preorder_rl.selection import (
@@ -251,11 +251,11 @@ def test_permuting_actions_permutes_survivors() -> None:
             assert shuffled.survivors[obj] == relabeled
 
 
-@pytest.mark.parametrize("layout", ["tensor", "c-order"])
+@pytest.mark.parametrize("layout", ["tensor", "c-order", "mixed"])
 def test_unordered_objectives_keep_each_matrix_own_verdicts(layout) -> None:
     # With no edges every objective is a root, so its verdicts are
     # exactly what the comparator says about its matrix alone, whatever
-    # the other heads stacked beside it.
+    # the other heads stacked beside it, in whatever memory layout.
     rng = np.random.default_rng(8080)
     kinds = ("qd", "cvar", "mv")
     for _ in range(150):
@@ -266,33 +266,24 @@ def test_unordered_objectives_keep_each_matrix_own_verdicts(layout) -> None:
         if rng.random() < 0.3:
             tensor[int(rng.integers(n_objectives))] = 0.5
         mats = [QuantileMatrix.from_values(tensor[h, 0].T) for h in range(n_objectives)]
-        if layout == "c-order":
-            mats = [QuantileMatrix.from_values(np.ascontiguousarray(m.values)) for m in mats]
-        shared = ComparatorConfig(kinds[int(rng.integers(3))], epsilon=0.1)
-        configs = [shared if rng.random() < 0.5 else
+        if layout != "tensor":
+            mats = [QuantileMatrix.from_values(np.ascontiguousarray(m.values))
+                    if layout == "c-order" or rng.random() < 0.5 else m for m in mats]
+        # The shared epsilon is a gap one matrix shows alone, so that pair
+        # sits on the verdict boundary, where one ulp of score decides.
+        edge = int(rng.integers(n_objectives))
+        kind = kinds[int(rng.integers(3))]
+        edge_scores = action_scores(mats[edge], ComparatorConfig(kind))
+        a, b = rng.choice(n_actions, size=2, replace=False)
+        shared = ComparatorConfig(kind, epsilon=float(abs(edge_scores[a] - edge_scores[b])))
+        configs = [shared if obj == edge or rng.random() < 0.5 else
                    ComparatorConfig(kinds[int(rng.integers(3))],
                                     epsilon=float(rng.uniform(0.0, 0.5)),
                                     cvar_alpha=float(rng.uniform(0.1, 1.0)),
                                     mv_lambda=float(rng.uniform(0.0, 2.0)))
-                   for _ in range(n_objectives)]
+                   for obj in range(n_objectives)]
         state = select(build_graph(n_objectives, []), mats, configs)
         for obj in range(n_objectives):
             alone = classify_pairs(mats[obj], configs[obj])
             assert np.array_equal(state.dom[obj], alone.dom)
             assert np.array_equal(state.dom_by[obj], alone.dom_by)
-
-
-def test_select_handles_more_actions_than_an_int64_verdict_holds() -> None:
-    # 9 actions make an 81-bit verdict matrix.
-    rng = np.random.default_rng(99)
-    for _ in range(20):
-        n_objectives, edges, _, configs = random_instance(rng)
-        matrices = [rng.normal(size=(3, 9)).round(2) for _ in range(n_objectives)]
-        state = select(build_graph(n_objectives, edges),
-                       [QuantileMatrix.from_values(m) for m in matrices], configs)
-        expected = ref_select(
-            n_objectives, set(edges), [m.tolist() for m in matrices],
-            [dict(kind=c.kind, epsilon=c.epsilon, cvar_alpha=c.cvar_alpha,
-                  mv_lambda=c.mv_lambda) for c in configs])
-        assert {o: set(s) for o, s in state.survivors.items()} == expected
-        assert all(state.dom[o].shape == (9, 9) for o in range(n_objectives))
