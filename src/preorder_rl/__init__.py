@@ -6,8 +6,8 @@ DAG, :mod:`relations` classifies action pairs on raw reward vectors,
 :mod:`selection` runs the comparator down the preorder to produce the
 survivor sets a policy may play.  :mod:`learner` trains tabular
 quantile tensors on the worlds in :mod:`envs`; :mod:`stats`,
-:mod:`plots`, :mod:`config` and :mod:`runner` handle experiment
-orchestration, and :mod:`cli` exposes it all as subcommands.
+:mod:`plots`, :mod:`config`, :mod:`artifacts` and :mod:`runner` handle
+experiment orchestration, and :mod:`cli` exposes it all as subcommands.
 """
 
 from .comparators import (

@@ -14,7 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from .comparators import ComparatorConfig, load_quantile_csv
+from .artifacts import load_quantile_csv
+from .comparators import ComparatorConfig
 from .config import _parse_preorder, load_config
 from .errors import ConfigError, LengthMismatch, MissingArtifact, ShapeMismatch
 from .runner import run_compare, run_evaluate, run_select, run_stats, run_train
@@ -108,11 +109,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "select":
         graph = _load_preorder_file(args.preorder)
         comparator = ComparatorConfig(args.kind, args.epsilon, args.cvar_alpha, args.mv_lambda)
-        matrices = []
-        for path in args.matrices:
-            if not Path(path).exists():
-                raise MissingArtifact(f"no quantile CSV at {path}")
-            matrices.append(load_quantile_csv(path))
+        matrices = [load_quantile_csv(path) for path in args.matrices]
         path = run_select(graph, matrices, comparator, args.out)
         print(f"wrote {path}")
     else:

@@ -13,10 +13,8 @@ entry points are its one-head case.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -133,11 +131,15 @@ def _last_axis_mean(x: np.ndarray) -> np.ndarray:
 
 def _zscore(values: np.ndarray) -> np.ndarray:
     """Standardize each head (leading axis) over all of its own entries,
-    with the same sums ``ndarray.mean`` and ``ndarray.std`` perform."""
+    with the same sums ``ndarray.mean`` and ``ndarray.std`` perform.
+    Raises ValueError when a head's spread overflows to a non-finite std."""
     axes = tuple(range(1, values.ndim))
     count = values[0].size
     dev = values - values.sum(axis=axes, keepdims=True) / count
     std = np.sqrt((dev * dev).sum(axis=axes, keepdims=True) / count)
+    if not np.isfinite(std).all():
+        head = int(np.flatnonzero(~np.isfinite(std))[0])
+        raise ValueError(f"quantile spread of head {head} is too large to standardize")
     flat = std < ZERO_VARIANCE_STD
     if not flat.any():
         return dev / std
@@ -229,31 +231,3 @@ def classify_pairs(matrix: QuantileMatrix, config: ComparatorConfig,
     np.fill_diagonal(dom, False)
     np.fill_diagonal(dom_by, False)
     return PairwiseDecision(dom, dom_by)
-
-
-def save_quantile_csv(matrix: QuantileMatrix, path) -> None:
-    """Write ``tau,a0,a1,...`` rows, one per quantile fraction."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["tau"] + [f"a{a}" for a in range(matrix.n_actions)])
-        for k in range(matrix.n_quantiles):
-            writer.writerow([repr(float(matrix.fractions[k]))]
-                            + [repr(float(v)) for v in matrix.values[k]])
-
-
-def load_quantile_csv(path) -> QuantileMatrix:
-    """Read a matrix written by :func:`save_quantile_csv`."""
-    path = Path(path)
-    with path.open(newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or not rows[0] or rows[0][0] != "tau":
-        raise ShapeMismatch(f"{path}: expected a header starting with 'tau'")
-    width = len(rows[0])
-    body = rows[1:]
-    if not body:
-        raise ShapeMismatch(f"{path}: no quantile rows")
-    if any(len(row) != width for row in body):
-        raise ShapeMismatch(f"{path}: ragged rows")
-    data = np.array([[float(cell) for cell in row] for row in body])
-    return QuantileMatrix(data[:, 1:], data[:, 0])

@@ -23,20 +23,18 @@ is consulted and the filter draws no random numbers, so the memo
 changes no result.  ``QuantileTensor.matrices`` hands the filter
 unvalidated views, so the finite checks sit where values enter a
 tensor: ``td_update`` raises on the first cell that leaves the finite
-range, and ``load_tensor`` rejects a file holding a non-finite value.
+range.
 """
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .comparators import ComparatorConfig, QuantileMatrix, _last_axis_mean, midpoint_fractions
-from .errors import ConfigError, EmptySetError, MissingArtifact, ShapeMismatch
+from .errors import ConfigError, EmptySetError
 from .preorder import PreorderGraph
 from .selection import SelectionState, global_leaf_survivors, sample_action, select
 
@@ -372,84 +370,3 @@ def evaluate(env, tensor: QuantileTensor, config: LearnerConfig, graph: Preorder
     memo: dict[int, SelectionState] = {}
     return [_run_episode(env, tensor, config, graph, rng, episode, 0.0, None, memo)
             for episode in range(episodes)]
-
-
-def save_tensor(tensor: QuantileTensor, path) -> None:
-    """Write the tensor as ``objective,state,action,k,value`` rows."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["objective", "state", "action", "k", "value"])
-        for head in range(tensor.n_heads):
-            for state in range(tensor.n_states):
-                for action in range(tensor.n_actions):
-                    for k in range(tensor.n_quantiles):
-                        writer.writerow([head, state, action, k,
-                                         repr(float(tensor.values[head, state, action, k]))])
-
-
-def load_tensor(path) -> QuantileTensor:
-    """Read a tensor written by :func:`save_tensor`; raises ValueError
-    naming the file when a value is not finite."""
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifact(f"no tensor at {path}")
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["objective", "state", "action", "k", "value"]:
-            raise ShapeMismatch(f"{path}: unexpected header {header}")
-        rows = [(int(r[0]), int(r[1]), int(r[2]), int(r[3]), float(r[4])) for r in reader]
-    if not rows:
-        raise ShapeMismatch(f"{path}: no rows")
-    heads = max(r[0] for r in rows) + 1
-    states = max(r[1] for r in rows) + 1
-    actions = max(r[2] for r in rows) + 1
-    quantiles = max(r[3] for r in rows) + 1
-    if len(rows) != heads * states * actions * quantiles:
-        raise ShapeMismatch(f"{path}: expected {heads * states * actions * quantiles} rows, "
-                            f"got {len(rows)}")
-    values = np.zeros((heads, states, actions, quantiles))
-    for head, state, action, k, value in rows:
-        values[head, state, action, k] = value
-    # The filter takes unvalidated views of the tensor, so this is the
-    # one place a non-finite value read from disk is caught.
-    if not np.isfinite(values).all():
-        raise ValueError(f"{path}: quantile values must be finite")
-    return QuantileTensor(values, midpoint_fractions(quantiles))
-
-
-def save_episode_log(records: Sequence[EpisodeRecord], path) -> None:
-    """Write per-episode rows: index, per-objective returns, flags."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    n = len(records[0].returns) if records else 0
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["episode"] + [f"return_{i}" for i in range(n)]
-                        + ["success", "collision", "offroad", "progress"])
-        for rec in records:
-            writer.writerow([rec.episode] + [repr(float(r)) for r in rec.returns]
-                            + [int(rec.success), int(rec.collision), int(rec.offroad),
-                               repr(float(rec.progress))])
-
-
-def load_episode_log(path) -> list[EpisodeRecord]:
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifact(f"no episode log at {path}")
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[0] != "episode" or header[-4:] != ["success", "collision",
-                                                                   "offroad", "progress"]:
-            raise ShapeMismatch(f"{path}: unexpected header {header}")
-        n = len(header) - 5
-        records = []
-        for row in reader:
-            records.append(EpisodeRecord(
-                int(row[0]), tuple(float(v) for v in row[1:1 + n]),
-                bool(int(row[1 + n])), bool(int(row[2 + n])), bool(int(row[3 + n])),
-                float(row[4 + n])))
-    return records

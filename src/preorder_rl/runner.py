@@ -9,18 +9,19 @@ so the steps can run in separate processes or sessions.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
 import numpy as np
 
 from . import stats as stats_mod
+from .artifacts import (SCORE_HEADER, load_scores, load_tensor, read_rows, save_episode_log,
+                        save_tensor, write_rows)
 from .comparators import ComparatorConfig, QuantileMatrix
 from .config import RunConfig, Variant, config_hash, parse_config
 from .envs import make_env
-from .errors import MissingArtifact, ShapeMismatch
-from .learner import _check_env, evaluate, load_tensor, save_episode_log, save_tensor, train
+from .errors import ShapeMismatch
+from .learner import _check_env, evaluate, train
 from .plots import interval_plot_svg
 from .preorder import PreorderGraph
 from .selection import global_leaf_survivors, select
@@ -77,18 +78,6 @@ def run_train(config: RunConfig, out_dir, seeds=None, jobs: int = 1) -> Path:
     return base
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _float(value) -> str:
-    return repr(float(value))
-
-
 def run_evaluate(config: RunConfig, out_dir, seeds=None) -> Path:
     """Greedy evaluation of every trained artifact.
 
@@ -108,13 +97,12 @@ def run_evaluate(config: RunConfig, out_dir, seeds=None) -> Path:
         learner_config = variant.learner_config(config)
         for seed in seeds:
             path = artifact_dir(config, out_dir, variant.label, seed) / "tensor.csv"
-            tensor = load_tensor(path)
             env = make_env(config.env)
-            expected = (learner_config.n_heads, env.n_states, env.n_actions,
-                        config.quantile_count)
-            if tensor.values.shape != expected:
-                raise ShapeMismatch(f"variant {variant.label}, seed {seed}: {path} has shape "
-                                    f"{tensor.values.shape}, expected {expected}")
+            try:
+                tensor = load_tensor(path, (learner_config.n_heads, env.n_states,
+                                            env.n_actions, config.quantile_count))
+            except ShapeMismatch as exc:
+                raise ShapeMismatch(f"variant {variant.label}, seed {seed}: {exc}") from None
             for run in range(config.eval_runs):
                 records = evaluate(env, tensor, learner_config, variant.graph,
                                    seed * _EVAL_SEED_STRIDE + run, config.eval_episodes)
@@ -124,24 +112,14 @@ def run_evaluate(config: RunConfig, out_dir, seeds=None) -> Path:
                 offroad = sum(r.offroad for r in records) / count
                 progress = sum(r.progress for r in records) / count
                 returns = np.array([r.returns for r in records]).mean(axis=0)
-                eval_rows.append([variant.label, seed, run, _float(success), _float(collision),
-                                  _float(offroad), _float(progress)]
-                                 + [_float(v) for v in returns])
-                score_rows.append([variant.label, seed, run, _float(success)])
+                eval_rows.append([variant.label, seed, run, success, collision, offroad,
+                                  progress, *returns])
+                score_rows.append([variant.label, seed, run, success])
     header = ["variant", "seed", "run", "success_rate", "collision_rate", "offroad_rate",
               "progress"] + [f"return_{i}" for i in range(n)]
-    _write_rows(base / "evaluate.csv", header, eval_rows)
-    _write_rows(base / "scores.csv", ["algorithm", "seed", "run", "score"], score_rows)
+    write_rows(base / "evaluate.csv", header, eval_rows)
+    write_rows(base / "scores.csv", SCORE_HEADER, score_rows)
     return base / "evaluate.csv"
-
-
-def _load_evaluate(config: RunConfig, out_dir) -> tuple[list[str], list[list[str]]]:
-    path = run_dir(config, out_dir) / "evaluate.csv"
-    if not path.exists():
-        raise MissingArtifact(f"no evaluation summary at {path}; run evaluate first")
-    with path.open(newline="") as handle:
-        rows = list(csv.reader(handle))
-    return rows[0], rows[1:]
 
 
 def run_compare(config: RunConfig, out_dir) -> Path:
@@ -152,8 +130,8 @@ def run_compare(config: RunConfig, out_dir) -> Path:
     returns, with percent deltas against the first weighted-sum variant
     when one exists.  A fixed-width rendering goes to ``ablation.txt``.
     """
-    header, rows = _load_evaluate(config, out_dir)
     base = run_dir(config, out_dir)
+    _, rows = read_rows(base / "evaluate.csv", "evaluation summary (run evaluate first)")
     n = config.graph.n_objectives
     by_label: dict[str, list[np.ndarray]] = {}
     for row in rows:
@@ -168,13 +146,12 @@ def run_compare(config: RunConfig, out_dir) -> Path:
         m = means[label]
         ablation_rows.append([
             label, variant.mode, variant.comparator.kind,
-            _float(variant.comparator.epsilon), int(variant.training_preorder),
-            _float(m[0]), _float(m[1]), _float(m[2]), _float(m[3]),
+            float(variant.comparator.epsilon), int(variant.training_preorder), *m[:4],
         ])
-    _write_rows(base / "ablation.csv",
-                ["variant", "mode", "comparator", "epsilon", "training_preorder",
-                 "success_rate", "collision_rate", "offroad_rate", "progress"],
-                ablation_rows)
+    write_rows(base / "ablation.csv",
+               ["variant", "mode", "comparator", "epsilon", "training_preorder",
+                "success_rate", "collision_rate", "offroad_rate", "progress"],
+               ablation_rows)
 
     baseline = next((v.label for v in config.variants
                      if v.mode == "weighted-sum" and v.label in means), None)
@@ -184,14 +161,14 @@ def run_compare(config: RunConfig, out_dir) -> Path:
     reward_rows = []
     for label in labels:
         returns = means[label][4:4 + n]
-        row = [label] + [_float(v) for v in returns]
+        row = [label, *returns]
         if baseline is not None:
             ref = means[baseline][4:4 + n]
             deltas = [100.0 * (v - b) / abs(b) if abs(b) > 1e-12 else 0.0
                       for v, b in zip(returns, ref)]
-            row += [_float(d) for d in deltas]
+            row += deltas
         reward_rows.append(row)
-    _write_rows(base / "rewards.csv", reward_header, reward_rows)
+    write_rows(base / "rewards.csv", reward_header, reward_rows)
 
     text = _render_table(
         ["variant", "mode", "cmp", "eps", "pre", "SR", "CR", "OR", "progress"],
@@ -226,24 +203,7 @@ def run_select(graph: PreorderGraph, matrices: list[QuantileMatrix],
     rows = [[str(obj), " ".join(str(a) for a in sorted(state.survivors[obj]))]
             for obj in range(graph.n_objectives)]
     rows.append(["global", " ".join(str(a) for a in sorted(global_leaf_survivors(state, graph)))])
-    _write_rows(out / "survivors.csv", ["objective", "actions"], rows)
-    return out / "survivors.csv"
-
-
-def load_scores(path) -> dict[str, np.ndarray]:
-    """Read an ``algorithm,seed,run,score`` CSV, grouped by algorithm."""
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifact(f"no score file at {path}")
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["algorithm", "seed", "run", "score"]:
-            raise MissingArtifact(f"{path}: expected header algorithm,seed,run,score")
-        grouped: dict[str, list[float]] = {}
-        for row in reader:
-            grouped.setdefault(row[0], []).append(float(row[3]))
-    return {name: np.array(scores) for name, scores in grouped.items()}
+    return write_rows(out / "survivors.csv", ["objective", "actions"], rows)
 
 
 def run_stats(scores_path, out_dir, seed: int = 0, n_resamples: int = 2000,
@@ -269,15 +229,14 @@ def run_stats(scores_path, out_dir, seed: int = 0, n_resamples: int = 2000,
         gap = stats_mod.optimality_gap(scores, gap_target)
         gap_lo, gap_hi = stats_mod.bootstrap_ci(
             lambda s: stats_mod.optimality_gap(s, gap_target), scores, n_resamples, rng=rng)
-        summary_rows.append([name, len(scores), _float(point), _float(lo), _float(hi),
-                             _float(gap), _float(gap_lo), _float(gap_hi)])
+        summary_rows.append([name, len(scores), point, lo, hi, gap, gap_lo, gap_hi])
         plot_entries.append((name, point, min(lo, point), max(hi, point)))
-    _write_rows(out / "stats_summary.csv",
-                ["algorithm", "n", "iqm", "iqm_lo", "iqm_hi",
-                 "opt_gap", "opt_gap_lo", "opt_gap_hi"],
-                summary_rows)
-    pairs = [[a, b, _float(stats_mod.prob_improvement(grouped[a], grouped[b]))]
+    write_rows(out / "stats_summary.csv",
+               ["algorithm", "n", "iqm", "iqm_lo", "iqm_hi",
+                "opt_gap", "opt_gap_lo", "opt_gap_hi"],
+               summary_rows)
+    pairs = [[a, b, stats_mod.prob_improvement(grouped[a], grouped[b])]
              for a in names for b in names if a != b]
-    _write_rows(out / "prob_improvement.csv", ["algorithm_x", "algorithm_y", "prob"], pairs)
+    write_rows(out / "prob_improvement.csv", ["algorithm_x", "algorithm_y", "prob"], pairs)
     (out / "stats.svg").write_text(interval_plot_svg(plot_entries, title="score IQM, 95% CI"))
     return out / "stats_summary.csv"

@@ -9,11 +9,8 @@ import numpy as np
 import pytest
 
 from preorder_rl.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_OK, EXIT_SHAPE, main
-from preorder_rl.comparators import (
-    ComparatorConfig,
-    QuantileMatrix,
-    save_quantile_csv,
-)
+from preorder_rl.artifacts import save_quantile_csv
+from preorder_rl.comparators import ComparatorConfig, QuantileMatrix
 from preorder_rl.preorder import build_graph
 from preorder_rl.selection import select
 
@@ -173,11 +170,28 @@ def test_shape_problems_exit_4(tmp_path, capsys) -> None:
     assert main(["select", str(single), "--preorder", str(graph_file),
                  "--out", out]) == EXIT_SHAPE
 
+    short = tmp_path / "short_scores.csv"
+    short.write_text("algorithm,seed,run,score\nonly,0\n")
+    capsys.readouterr()
+    assert main(["stats", "--scores", str(short), "--out", out]) == EXIT_SHAPE
+    assert str(short) in capsys.readouterr().err
+
     scores = tmp_path / "scores.csv"
     scores.write_text("algorithm,seed,run,score\nonly,0,0,1.0\n")
     stats_ok = main(["stats", "--scores", str(scores), "--out", out,
                      "--resamples", "99"])
     assert stats_ok == EXIT_CONFIG
+
+
+def test_overflowing_quantile_spread_exits_2(tmp_path, capsys) -> None:
+    graph_file = tmp_path / "preorder.json"
+    graph_file.write_text(json.dumps({"n_objectives": 1}))
+    huge = tmp_path / "huge.csv"
+    huge.write_text("tau,a0,a1\n0.25,1e300,-1e300\n0.75,1e300,-1e300\n")
+    code = main(["select", str(huge), "--preorder", str(graph_file),
+                 "--out", str(tmp_path / "out"), "--epsilon", "0.1"])
+    assert code == EXIT_CONFIG
+    assert "too large to standardize" in capsys.readouterr().err
 
 
 def test_objective_count_mismatch_fails_before_train_writes(tmp_path, capsys) -> None:
@@ -214,18 +228,21 @@ def test_non_finite_env_param_exits_2_before_train_writes(tmp_path, capsys, valu
 
 
 def test_truncated_tensor_fails_evaluation(tmp_path, capsys) -> None:
-    # A tensor cut at a head boundary still has a consistent row count.
+    # A tensor cut at a head boundary still has a consistent row count,
+    # and a short row breaks the parse.
     config = write_config(tmp_path, variants=[
         {"label": "flat", "mode": "mean-aggregation", "training_preorder": False}])
     out = tmp_path / "out"
     assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_OK
     tensor = next(out.iterdir()) / "flat" / "0" / "tensor.csv"
     lines = tensor.read_text().splitlines(keepends=True)
-    tensor.write_text("".join(line for line in lines if not line.startswith("1,")))
-    capsys.readouterr()
-    assert main(["evaluate", "--config", str(config), "--out", str(out)]) == EXIT_SHAPE
-    err = capsys.readouterr().err
-    assert "variant flat, seed 0" in err and str(tensor) in err
+    for broken in ([line for line in lines if not line.startswith("1,")],
+                   [lines[0], "0,0\n", *lines[2:]]):
+        tensor.write_text("".join(broken))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config), "--out", str(out)]) == EXIT_SHAPE
+        err = capsys.readouterr().err
+        assert "variant flat, seed 0" in err and str(tensor) in err
 
 
 def test_non_finite_tensor_fails_evaluation(tmp_path, capsys) -> None:

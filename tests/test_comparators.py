@@ -8,16 +8,15 @@ import random
 import numpy as np
 import pytest
 
+from preorder_rl.artifacts import load_quantile_csv, save_quantile_csv
 from preorder_rl.comparators import (
     ComparatorConfig,
     QuantileMatrix,
     action_scores,
     classify_pairs,
     ideal_profile,
-    load_quantile_csv,
     midpoint_fractions,
     qd,
-    save_quantile_csv,
     score_heads,
     w1_to_ideal,
     zscore_normalize,
@@ -58,6 +57,14 @@ def test_comparator_config_validation() -> None:
         ComparatorConfig(cvar_alpha=0.0)
     with pytest.raises(ConfigError):
         ComparatorConfig(mv_lambda=-1.0)
+
+
+def test_zscore_rejects_a_spread_that_overflows() -> None:
+    # The squared deviations overflow float64, so std is not finite; the
+    # scores would all be zero and the dominated action would survive.
+    huge = matrix([[1.7e308, -1.7e308], [1.7e308, -1.7e308]])
+    with pytest.raises(ValueError, match="too large to standardize"):
+        classify_pairs(huge, ComparatorConfig("qd", epsilon=0.1))
 
 
 def test_zscore_constant_matrix_maps_to_zeros() -> None:

@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
+from preorder_rl.artifacts import load_episode_log, load_tensor, save_episode_log, save_tensor
 from preorder_rl.comparators import ComparatorConfig, midpoint_fractions
 from preorder_rl.envs import EnvSpec, make_env
 from preorder_rl.errors import ConfigError, EmptySetError, MissingArtifact, ShapeMismatch
@@ -23,10 +24,6 @@ from preorder_rl.learner import (
     act,
     evaluate,
     greedy_target_action,
-    load_episode_log,
-    load_tensor,
-    save_episode_log,
-    save_tensor,
     td_update,
     train,
 )
@@ -526,29 +523,38 @@ def test_tensor_csv_roundtrip(tmp_path) -> None:
     rng = np.random.default_rng(8)
     tensor = QuantileTensor.zeros(2, 3, 4, 5)
     tensor.values[:] = rng.normal(size=tensor.values.shape)
+    # Signed zero, the smallest subnormal and both largest finite values.
+    tensor.values[1, 2, 3, :4] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
     path = tmp_path / "tensor.csv"
     save_tensor(tensor, path)
-    loaded = load_tensor(path)
-    assert np.array_equal(loaded.values, tensor.values)
+    loaded = load_tensor(path, (2, 3, 4, 5))
+    assert loaded.values.tobytes() == tensor.values.tobytes()
     assert np.array_equal(loaded.fractions, tensor.fractions)
 
 
 def test_tensor_loader_rejects_bad_files(tmp_path) -> None:
     with pytest.raises(MissingArtifact):
-        load_tensor(tmp_path / "absent.csv")
+        load_tensor(tmp_path / "absent.csv", (1, 1, 1, 2))
     bad_header = tmp_path / "bad.csv"
     bad_header.write_text("a,b,c\n")
     with pytest.raises(ShapeMismatch):
-        load_tensor(bad_header)
+        load_tensor(bad_header, (1, 1, 1, 2))
     truncated = tmp_path / "short.csv"
     truncated.write_text("objective,state,action,k,value\n0,0,0,1,0.5\n")
     with pytest.raises(ShapeMismatch):
-        load_tensor(truncated)
+        load_tensor(truncated, (1, 1, 1, 2))
+    # A row copied over its neighbour keeps the row count but loses a cell.
+    duplicated = tmp_path / "duplicated.csv"
+    duplicated.write_text("objective,state,action,k,value\n"
+                          "0,0,0,0,0.5\n0,0,0,0,0.5\n0,0,0,2,0.25\n")
+    with pytest.raises(ShapeMismatch, match="line 3") as caught:
+        load_tensor(duplicated, (1, 1, 1, 3))
+    assert str(duplicated) in str(caught.value)
     for bad in ("nan", "inf", "-inf"):
         diverged = tmp_path / f"{bad}.csv"
         diverged.write_text(f"objective,state,action,k,value\n0,0,0,0,{bad}\n")
         with pytest.raises(ValueError, match="finite") as caught:
-            load_tensor(diverged)
+            load_tensor(diverged, (1, 1, 1, 1))
         assert str(diverged) in str(caught.value)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,13 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from preorder_rl.artifacts import load_scores
 from preorder_rl.comparators import ComparatorConfig, QuantileMatrix
 from preorder_rl.config import config_hash, parse_config
-from preorder_rl.errors import MissingArtifact
+from preorder_rl.errors import MissingArtifact, ShapeMismatch
 from preorder_rl.preorder import build_graph
 from preorder_rl.runner import (
     artifact_dir,
-    load_scores,
     run_compare,
     run_dir,
     run_evaluate,
@@ -218,6 +219,17 @@ def test_load_scores_groups_by_algorithm(tmp_path) -> None:
     bad.write_text("name,value\nx,1\n")
     with pytest.raises(MissingArtifact, match="expected header"):
         load_scores(bad)
+    short = tmp_path / "short.csv"
+    short.write_text("algorithm,seed,run,score\na,0,0,1.0\na,0\n")
+    with pytest.raises(ShapeMismatch, match="line 3"):
+        load_scores(short)
+
+
+def test_only_the_artifacts_module_imports_csv() -> None:
+    package = Path(__file__).resolve().parents[1] / "src" / "preorder_rl"
+    importers = [path.name for path in sorted(package.glob("*.py"))
+                 if re.search(r"^\s*(import csv\b|from csv import)", path.read_text(), re.M)]
+    assert importers == ["artifacts.py"]
 
 
 def scores_fixture(tmp_path: Path) -> Path:
