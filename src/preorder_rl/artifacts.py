@@ -7,8 +7,10 @@ is written as ``repr(float(x))`` so it reads back bit for bit.
 reader; the quantile tensor has its own codec because it is a numeric
 grid of known shape.  Readers raise :class:`MissingArtifact` for an
 absent file and :class:`ShapeMismatch` naming the file (and the line,
-where there is one) for a bad header, a row of the wrong width, or
-rows that do not match the expected shape.
+where there is one) for a bad header, a row of the wrong width, a cell
+that is not a number, or rows that do not match the expected shape;
+:func:`parse_rows` converts the cells of CSV rows with that line
+context.
 """
 
 from __future__ import annotations
@@ -55,6 +57,18 @@ def read_rows(path, what: str) -> tuple[list[str], list[list[str]]]:
             raise ShapeMismatch(f"{path}, line {line}: expected {len(header)} fields, "
                                 f"got {len(row)}")
     return header, rows
+
+
+def parse_rows(path, rows: list[list[str]], parse) -> list:
+    """``parse(row)`` for every body row read from ``path``; a cell it
+    cannot convert raises :class:`ShapeMismatch` naming the file and line."""
+    parsed = []
+    for line, row in enumerate(rows, start=2):
+        try:
+            parsed.append(parse(row))
+        except ValueError as exc:
+            raise ShapeMismatch(f"{path}, line {line}: {exc}") from None
+    return parsed
 
 
 def save_tensor(tensor: QuantileTensor, path) -> None:
@@ -120,9 +134,9 @@ def load_episode_log(path) -> list[EpisodeRecord]:
     if not header or header[0] != "episode" or header[-4:] != _OUTCOMES:
         raise ShapeMismatch(f"{path}: unexpected header {header}")
     n = len(header) - 5
-    return [EpisodeRecord(int(row[0]), tuple(float(v) for v in row[1:1 + n]),
-                          bool(int(row[1 + n])), bool(int(row[2 + n])), bool(int(row[3 + n])),
-                          float(row[4 + n])) for row in rows]
+    return parse_rows(path, rows, lambda row: EpisodeRecord(
+        int(row[0]), tuple(float(v) for v in row[1:1 + n]), bool(int(row[1 + n])),
+        bool(int(row[2 + n])), bool(int(row[3 + n])), float(row[4 + n])))
 
 
 def save_quantile_csv(matrix: QuantileMatrix, path) -> None:
@@ -138,7 +152,7 @@ def load_quantile_csv(path) -> QuantileMatrix:
         raise ShapeMismatch(f"{path}: expected a header starting with 'tau'")
     if not rows:
         raise ShapeMismatch(f"{path}: no quantile rows")
-    data = np.array([[float(cell) for cell in row] for row in rows])
+    data = np.array(parse_rows(path, rows, lambda row: [float(cell) for cell in row]))
     return QuantileMatrix(data[:, 1:], data[:, 0])
 
 
@@ -148,6 +162,6 @@ def load_scores(path) -> dict[str, np.ndarray]:
     if header != SCORE_HEADER:
         raise MissingArtifact(f"{path}: expected header {','.join(SCORE_HEADER)}")
     grouped: dict[str, list[float]] = {}
-    for row in rows:
-        grouped.setdefault(row[0], []).append(float(row[3]))
+    for name, score in parse_rows(path, rows, lambda row: (row[0], float(row[3]))):
+        grouped.setdefault(name, []).append(score)
     return {name: np.array(scores) for name, scores in grouped.items()}

@@ -135,8 +135,10 @@ def _zscore(values: np.ndarray) -> np.ndarray:
     Raises ValueError when a head's spread overflows to a non-finite std."""
     axes = tuple(range(1, values.ndim))
     count = values[0].size
-    dev = values - values.sum(axis=axes, keepdims=True) / count
-    std = np.sqrt((dev * dev).sum(axis=axes, keepdims=True) / count)
+    # An overflow here is reported by the check below, not as a warning.
+    with np.errstate(over="ignore"):
+        dev = values - values.sum(axis=axes, keepdims=True) / count
+        std = np.sqrt((dev * dev).sum(axis=axes, keepdims=True) / count)
     if not np.isfinite(std).all():
         head = int(np.flatnonzero(~np.isfinite(std))[0])
         raise ValueError(f"quantile spread of head {head} is too large to standardize")

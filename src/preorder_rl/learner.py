@@ -3,7 +3,10 @@
 One table of quantile estimates is kept per objective (a single table
 for the scalarizing baseline).  Updates follow the pinball subgradient:
 each cell moves toward the bootstrapped target distribution at a rate
-set by its quantile fraction.  Three policy modes share the machinery:
+set by its quantile fraction.  Each update picks the bootstrap actions
+of all heads with one masked argmax over the successor state's mean
+values (:func:`greedy_target_action`).  Three policy modes share the
+machinery:
 
 * ``preorder``: filter actions through the priority preorder and play a
   uniform draw from the surviving set; bootstrap targets may be
@@ -207,17 +210,27 @@ class EpisodeRecord:
     progress: float
 
 
-def greedy_target_action(tensor: QuantileTensor, head: int, state: int,
-                         allowed: frozenset[int] | None = None) -> int:
-    """Lowest-index action maximizing the mean quantile value, searched
-    over ``allowed`` (all actions when None)."""
-    means = _last_axis_mean(tensor.values[head, state])
+def greedy_target_action(tensor: QuantileTensor, state: int,
+                         allowed: np.ndarray | None = None) -> np.ndarray:
+    """Per head, the lowest-index action maximizing the mean quantile
+    value at ``state``, searched over that head's row of the (heads,
+    actions) boolean ``allowed`` (all actions when None).
+
+    Raises:
+        EmptySetError: a row of ``allowed`` is empty.
+    """
+    means = _last_axis_mean(tensor.values[:, state])
     if allowed is None:
-        return int(means.argmax())
-    candidates = sorted(allowed)
-    if not candidates:
-        raise EmptySetError(f"no allowed actions at state {state}, head {head}")
-    return candidates[int(np.argmax(means[candidates]))]
+        return means.argmax(axis=1)
+    best = np.where(allowed, means, -np.inf).argmax(axis=1)
+    hit = allowed[np.arange(len(best)), best]
+    if hit.all():
+        return best
+    empty = ~allowed.any(axis=1)
+    if empty.any():
+        raise EmptySetError(f"no allowed actions at state {state}, head {int(empty.argmax())}")
+    # A head whose allowed means are all -inf plays its lowest allowed action.
+    return np.where(hit, best, allowed.argmax(axis=1))
 
 
 def _pinball_step(theta: np.ndarray, targets: np.ndarray, fractions: np.ndarray,
@@ -252,12 +265,14 @@ def td_update(tensor: QuantileTensor, transition: VectorTransition,
               learning_rate: float | None = None, *, memo: dict | None = None) -> QuantileTensor:
     """One in-place distributional TD step on every head at once.
 
-    Greedy bootstrap actions are chosen per head.  In preorder mode with
-    ``training_preorder`` set, the choice at the successor state is
-    restricted to that objective's survivor set; terminal transitions
-    collapse the target to the immediate reward.  The weighted-sum head
-    learns the weighted reward.  ``learning_rate`` defaults to
-    ``config.learning_rate``.  The updated state's entry leaves ``memo``.
+    One :func:`greedy_target_action` call picks the bootstrap action of
+    every head.  In preorder mode with ``training_preorder`` set, each
+    head's choice at the successor state is restricted to that
+    objective's survivor set (the filter's ``mask`` row); terminal
+    transitions collapse the target to the immediate reward.  The
+    weighted-sum head learns the weighted reward.  ``learning_rate``
+    defaults to ``config.learning_rate``.  The updated state's entry
+    leaves ``memo``.
 
     Raises:
         ValueError: the step left a non-finite estimate in the written
@@ -268,16 +283,14 @@ def td_update(tensor: QuantileTensor, transition: VectorTransition,
     rewards = transition.rewards
     if config.mode == WEIGHTED_SUM:
         rewards = (np.dot(config.weights, rewards),)
-    if transition.terminal:
-        targets = np.array(rewards, dtype=float)[:, None]
-    else:
-        allowed: dict[int, frozenset[int]] = {}
+    targets = np.array(rewards, dtype=float)[:, None]
+    if not transition.terminal:
+        allowed = None
         if config.mode == PREORDER and config.training_preorder:
-            allowed = _selection(tensor, s2, config, graph, memo).survivors
-        targets = np.array([
-            float(rewards[i]) + config.gammas[i]
-            * tensor.values[i, s2, greedy_target_action(tensor, i, s2, allowed.get(i))]
-            for i in range(config.n_heads)])
+            allowed = _selection(tensor, s2, config, graph, memo).mask
+        best = greedy_target_action(tensor, s2, allowed)
+        gammas = np.array(config.gammas[:len(best)])[:, None]
+        targets = targets + gammas * tensor.values[np.arange(len(best)), s2, best]
     cell = tensor.values[:, s, a]
     _pinball_step(cell, targets, tensor.fractions, rate, config.huber_kappa)
     if not np.isfinite(cell).all():

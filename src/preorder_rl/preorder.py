@@ -25,14 +25,22 @@ class PreorderGraph:
     Instances are immutable after construction.  Besides the raw edges,
     the constructor precomputes the deterministic topological order,
     per-node parent and child sets, and the transitive closure used for
-    strict-precedence queries.
+    strict-precedence queries.  For the survivor filter it also keeps
+    read-only forms of that structure:
+
+    * ``ancestors[j, i]`` is True when i strictly precedes j (the
+      transposed closure);
+    * ``ancestors_or_self`` adds the diagonal;
+    * ``walk`` pairs each objective, in topological order, with its
+      sorted direct parents.
 
     Raises:
         IndexError: an edge endpoint is outside ``0..n_objectives-1``.
         CycleError: the edges contain a self-loop or a directed cycle.
     """
 
-    __slots__ = ("n_objectives", "edges", "names", "_parents", "_children", "_order", "_closure")
+    __slots__ = ("n_objectives", "edges", "names", "_parents", "_children", "_order", "_closure",
+                 "ancestors", "ancestors_or_self", "walk")
 
     def __init__(
         self,
@@ -69,6 +77,11 @@ class PreorderGraph:
         self._children = tuple(frozenset(c) for c in children)
         self._order = self._kahn_order()
         self._closure = self._transitive_closure()
+        self.ancestors = np.ascontiguousarray(self._closure.T)
+        self.ancestors_or_self = self.ancestors | np.eye(n, dtype=bool)
+        for structure in (self._closure, self.ancestors, self.ancestors_or_self):
+            structure.setflags(write=False)
+        self.walk = tuple((obj, tuple(sorted(self._parents[obj]))) for obj in self._order)
 
     def _kahn_order(self) -> tuple[int, ...]:
         # Lowest ready index first, so the order is deterministic.

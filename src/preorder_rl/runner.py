@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import stats as stats_mod
-from .artifacts import (SCORE_HEADER, load_scores, load_tensor, read_rows, save_episode_log,
-                        save_tensor, write_rows)
+from .artifacts import (SCORE_HEADER, load_scores, load_tensor, parse_rows, read_rows,
+                        save_episode_log, save_tensor, write_rows)
 from .comparators import ComparatorConfig, QuantileMatrix
 from .config import RunConfig, Variant, config_hash, parse_config
 from .envs import make_env
@@ -131,11 +131,13 @@ def run_compare(config: RunConfig, out_dir) -> Path:
     when one exists.  A fixed-width rendering goes to ``ablation.txt``.
     """
     base = run_dir(config, out_dir)
-    _, rows = read_rows(base / "evaluate.csv", "evaluation summary (run evaluate first)")
+    path = base / "evaluate.csv"
+    _, rows = read_rows(path, "evaluation summary (run evaluate first)")
     n = config.graph.n_objectives
     by_label: dict[str, list[np.ndarray]] = {}
-    for row in rows:
-        by_label.setdefault(row[0], []).append(np.array([float(v) for v in row[3:]]))
+    for label, measures in parse_rows(path, rows,
+                                      lambda row: (row[0], [float(v) for v in row[3:]])):
+        by_label.setdefault(label, []).append(np.array(measures))
     labels = [v.label for v in config.variants if v.label in by_label]
 
     means = {label: np.mean(by_label[label], axis=0) for label in labels}

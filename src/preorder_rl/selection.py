@@ -10,8 +10,13 @@ policy may play.
 
 :func:`select` scores every head in one vectorized
 :func:`~preorder_rl.comparators.score_heads` call per comparator config
-and thresholds all pairwise score gaps of a group at once; the walk
-then combines these boolean verdict matrices objective by objective.
+and thresholds all pairwise score gaps of a group at once.  The verdict
+recursion has a closed form: a pair takes an objective's own verdict
+exactly when no strict ancestor decided it, so three boolean matrix
+products with the graph's transitive closure give every objective's
+verdicts at once.  Only the survivor walk stays sequential; it tests
+each inherited action against a Python-int bitmask of the actions that
+beat it and merges parent sets with :func:`aggregate_survivor_sets`.
 """
 
 from __future__ import annotations
@@ -37,13 +42,15 @@ class SelectionState:
 
     ``fallbacks`` lists the objectives where comparator verdicts left no
     inherited survivor standing and the best-scored inherited survivors
-    were retained instead.
+    were retained instead.  ``mask`` is ``survivors`` as an
+    (objectives, actions) boolean array.
     """
 
     dom: dict[int, np.ndarray]
     dom_by: dict[int, np.ndarray]
     survivors: dict[int, frozenset[int]]
-    fallbacks: tuple[int, ...] = ()
+    fallbacks: tuple[int, ...]
+    mask: np.ndarray
 
 
 def aggregate_survivor_sets(sets: Sequence[frozenset[int]]) -> frozenset[int]:
@@ -93,50 +100,54 @@ def select(graph: PreorderGraph, quantiles: Sequence[QuantileMatrix],
     groups: dict[tuple, list[int]] = {}
     for obj, m in enumerate(quantiles):
         groups.setdefault((cfgs[obj], m.values.shape, m.values.strides), []).append(obj)
-    scores: list = [None] * n_objectives
-    above: list = [None] * n_objectives
-    below: list = [None] * n_objectives
+    scores = np.empty((n_objectives, n_actions))
+    above = np.empty((n_objectives, n_actions, n_actions), dtype=bool)
+    below = np.empty_like(above)
     for (cfg, _, _), objs in groups.items():
         values = np.stack([quantiles[obj].values for obj in objs]).transpose(0, 2, 1)
-        group_scores = score_heads(values, cfg)
+        scores[objs] = group_scores = score_heads(values, cfg)
         gap = group_scores[:, :, None] - group_scores[:, None, :]
-        for obj, row, beats, beaten in zip(objs, group_scores, gap > cfg.epsilon,
-                                           gap < -cfg.epsilon):
-            scores[obj], above[obj], below[obj] = row, beats, beaten
+        above[objs] = gap > cfg.epsilon
+        below[objs] = gap < -cfg.epsilon
 
-    off_diagonal = ~np.eye(n_actions, dtype=bool)
-    dom: dict[int, np.ndarray] = {}
-    dom_by: dict[int, np.ndarray] = {}
+    # A pair takes an objective's own verdict exactly when no strict
+    # ancestor decided it, and inherits every ancestor's fresh verdict.
+    # The diagonal is never decided: its gap is 0 and epsilon >= 0.
+    above = above.reshape(n_objectives, -1)
+    below = below.reshape(n_objectives, -1)
+    fresh = ~(graph.ancestors @ (above | below))
+    shape = (n_objectives, n_actions, n_actions)
+    dom = (graph.ancestors_or_self @ (above & fresh)).reshape(shape)
+    dom_by = (graph.ancestors_or_self @ (below & fresh)).reshape(shape)
+
+    # Bit b of beaten[obj][a] is set when b beats a at obj outside a
+    # conflict (a pair decided both ways eliminates no one).  Python ints
+    # hold the bits when int64 cannot.
+    bits = np.arange(n_actions, dtype=np.int64 if n_actions < 63 else object)
+    beaten = ((dom_by & ~dom) @ (1 << bits)).tolist()
+    everyone = frozenset(range(n_actions))
     survivors: dict[int, frozenset[int]] = {}
     fallbacks: list[int] = []
-    for obj in graph.topological_sort():
-        parent_ids = sorted(graph.parents(obj))
-        if parent_ids:
-            up = aggregate_survivor_sets([survivors[p] for p in parent_ids])
-            dom_up = np.logical_or.reduce([dom[p] for p in parent_ids])
-            dom_by_up = np.logical_or.reduce([dom_by[p] for p in parent_ids])
-        else:
-            up = frozenset(range(n_actions))
-            dom_up = dom_by_up = np.zeros((n_actions, n_actions), dtype=bool)
-        # Only pairs no parent has decided take this objective's verdict.
-        undecided = off_diagonal & ~(dom_up | dom_by_up)
-        dom_here = dom_up | (above[obj] & undecided)
-        dom_by_here = dom_by_up | (below[obj] & undecided)
-        # An inherited action survives unless an inherited action beats it
-        # outside a conflict (a pair decided both ways eliminates no one).
-        up_mask = np.zeros(n_actions, dtype=bool)
-        up_mask[list(up)] = True
-        kept = up_mask & ~(dom_by_here & ~dom_here & up_mask).any(axis=1)
-        if not kept.any():
+    for obj, parent_ids in graph.walk:
+        up = (aggregate_survivor_sets([survivors[p] for p in parent_ids]) if parent_ids
+              else everyone)
+        up_bits = sum(1 << a for a in up)
+        row = beaten[obj]
+        kept = frozenset(a for a in up if not row[a] & up_bits)
+        if not kept:
             # Circular verdicts can eliminate everyone; keep the
             # best-scored inherited survivors so the set stays usable.
-            kept = up_mask & (scores[obj] == scores[obj][up_mask].max())
+            up_mask = np.zeros(n_actions, dtype=bool)
+            up_mask[list(up)] = True
+            best = up_mask & (scores[obj] == scores[obj][up_mask].max())
+            kept = frozenset(np.flatnonzero(best).tolist())
             fallbacks.append(obj)
             _log.debug("fallback at objective %d: no inherited survivor kept", obj)
-        survivors[obj] = frozenset(np.flatnonzero(kept).tolist())
-        dom[obj] = dom_here
-        dom_by[obj] = dom_by_here
-    return SelectionState(dom, dom_by, survivors, tuple(fallbacks))
+        survivors[obj] = kept
+    mask = np.zeros(n_objectives * n_actions, dtype=bool)
+    mask[[obj * n_actions + a for obj, kept in survivors.items() for a in kept]] = True
+    return SelectionState(dict(enumerate(dom)), dict(enumerate(dom_by)), survivors,
+                          tuple(fallbacks), mask.reshape(n_objectives, n_actions))
 
 
 def global_leaf_survivors(state: SelectionState, graph: PreorderGraph) -> frozenset[int]:

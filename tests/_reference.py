@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from typing import NamedTuple
 
 ZERO_STD = 1e-12
 
@@ -57,13 +58,25 @@ def ref_aggregate(sets: list[set[int]]) -> set[int]:
     return merged if merged else set.union(*sets)
 
 
+class RefSelection(NamedTuple):
+    """Per-objective survivor sets, verdicts as sets of (a, b) pairs
+    (``dom``: a dominates b, ``dom_by``: a is dominated by b), and the
+    objectives that fell back to the best-scored actions, in visit order."""
+
+    survivors: dict[int, set[int]]
+    dom: dict[int, set[tuple[int, int]]]
+    dom_by: dict[int, set[tuple[int, int]]]
+    fallbacks: tuple[int, ...]
+
+
 def ref_select(n_objectives: int, edges: set[tuple[int, int]],
-               matrices: list[list[list[float]]], configs: list[dict]) -> dict[int, set[int]]:
-    """Survivor sets per objective, mirroring the documented filter."""
+               matrices: list[list[list[float]]], configs: list[dict]) -> RefSelection:
+    """The filter's result per objective, mirroring the documented walk."""
     n_actions = len(matrices[0][0])
     dom: dict[int, set[tuple[int, int]]] = {}
     dom_by: dict[int, set[tuple[int, int]]] = {}
     survivors: dict[int, set[int]] = {}
+    fallbacks: list[int] = []
     for obj in ref_topological_order(n_objectives, edges):
         parents = sorted(h for h, l in edges if l == obj)
         if parents:
@@ -96,10 +109,11 @@ def ref_select(n_objectives: int, edges: set[tuple[int, int]],
         if not kept:
             best = max(scores[a] for a in up)
             kept = {a for a in up if scores[a] == best}
+            fallbacks.append(obj)
         survivors[obj] = kept
         dom[obj] = dom_here
         dom_by[obj] = dom_by_here
-    return survivors
+    return RefSelection(survivors, dom, dom_by, tuple(fallbacks))
 
 
 def ref_global_leaf(n_objectives: int, edges: set[tuple[int, int]],

@@ -42,7 +42,7 @@ from preorder_rl.selection import select
 from preorder_rl.stats import iqm, optimality_gap, prob_improvement
 
 from ._reference import ref_select
-from .test_selection import random_instance
+from .test_selection import pair_sets, random_instance
 
 # The risk override deepens the per-step bleed next to traffic: waiting
 # between convoys becomes expensive enough that mean-style aggregation
@@ -77,7 +77,8 @@ GRID_CONFIG = {
 def instance_sweep() -> dict:
     """Run select against the brute-force reference on 1000 instances."""
     rng = np.random.default_rng(20260816)
-    summary = {"mismatches": [], "empty": 0, "with_fallback": 0}
+    summary = {"mismatches": [], "verdict_mismatches": [], "fallback_mismatches": [],
+               "empty": 0, "with_fallback": 0}
     started = time.perf_counter()
     for index in range(1000):
         n_objectives, edges, matrices, configs = random_instance(rng)
@@ -88,8 +89,12 @@ def instance_sweep() -> dict:
             n_objectives, set(edges), [m.tolist() for m in matrices],
             [dict(kind=c.kind, epsilon=c.epsilon, cvar_alpha=c.cvar_alpha,
                   mv_lambda=c.mv_lambda) for c in configs])
-        if {o: set(s) for o, s in state.survivors.items()} != expected:
+        if {o: set(s) for o, s in state.survivors.items()} != expected.survivors:
             summary["mismatches"].append(index)
+        if (pair_sets(state.dom), pair_sets(state.dom_by)) != (expected.dom, expected.dom_by):
+            summary["verdict_mismatches"].append(index)
+        if state.fallbacks != expected.fallbacks:
+            summary["fallback_mismatches"].append(index)
         if any(not state.survivors[o] for o in range(n_objectives)):
             summary["empty"] += 1
         if state.fallbacks:
@@ -122,6 +127,8 @@ def test_select_matches_bruteforce_reference(instance_sweep) -> None:
     print(f"reference sweep: {instance_sweep['elapsed']:.1f}s, "
           f"mismatches {instance_sweep['mismatches']}")
     assert instance_sweep["mismatches"] == []
+    assert instance_sweep["verdict_mismatches"] == []
+    assert instance_sweep["fallback_mismatches"] == []
     assert instance_sweep["elapsed"] < 60.0
 
 

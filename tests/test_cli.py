@@ -183,6 +183,21 @@ def test_shape_problems_exit_4(tmp_path, capsys) -> None:
     assert stats_ok == EXIT_CONFIG
 
 
+def test_non_numeric_cell_exits_4_naming_file_and_line(tmp_path, capsys) -> None:
+    graph_file = tmp_path / "preorder.json"
+    graph_file.write_text(json.dumps({"n_objectives": 1}))
+    cell = tmp_path / "cell.csv"
+    cell.write_text("tau,a0,a1\n0.5,abc,1.0\n")
+    code = main(["select", str(cell), "--preorder", str(graph_file),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_SHAPE
+    assert f"{cell}, line 2" in capsys.readouterr().err
+    scores = tmp_path / "scores.csv"
+    scores.write_text("algorithm,seed,run,score\na,0,0,x\n")
+    assert main(["stats", "--scores", str(scores), "--out", str(tmp_path / "out")]) == EXIT_SHAPE
+    assert f"{scores}, line 2" in capsys.readouterr().err
+
+
 def test_overflowing_quantile_spread_exits_2(tmp_path, capsys) -> None:
     graph_file = tmp_path / "preorder.json"
     graph_file.write_text(json.dumps({"n_objectives": 1}))

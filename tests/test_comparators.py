@@ -239,6 +239,13 @@ def test_csv_loader_rejects_malformed_files(tmp_path) -> None:
         load_quantile_csv(empty)
 
 
+def test_csv_loader_names_the_line_of_a_non_numeric_cell(tmp_path) -> None:
+    path = tmp_path / "cell.csv"
+    path.write_text("tau,a0,a1\n0.25,1.0,2.0\n0.75,abc,1.0\n")
+    with pytest.raises(ShapeMismatch, match=r"cell\.csv, line 3: .*'abc'"):
+        load_quantile_csv(path)
+
+
 def _per_matrix_scores(values: np.ndarray, config: ComparatorConfig) -> np.ndarray:
     """The per-matrix numpy scorer that ``score_heads`` replaced, kept
     verbatim as the bit-level reference for one (quantiles, actions) array."""

@@ -94,19 +94,53 @@ def test_head_count_per_mode() -> None:
                          weights=(1.0, 1.0, 1.0)).n_heads == 1
 
 
+def _mask(n_actions: int, *rows) -> np.ndarray:
+    """A (heads, actions) boolean mask with the given allowed actions per row."""
+    mask = np.zeros((len(rows), n_actions), dtype=bool)
+    for head, allowed in enumerate(rows):
+        mask[head, list(allowed)] = True
+    return mask
+
+
 def test_greedy_target_action_prefers_best_mean() -> None:
     tensor = QuantileTensor.zeros(1, 1, 3, 4)
     tensor.values[0, 0] = np.array([[0.2] * 4, [1.0] * 4, [0.5] * 4])
-    assert greedy_target_action(tensor, 0, 0) == 1
-    assert greedy_target_action(tensor, 0, 0, frozenset({0, 2})) == 2
+    assert greedy_target_action(tensor, 0).tolist() == [1]
+    assert greedy_target_action(tensor, 0, _mask(3, {0, 2})).tolist() == [2]
 
 
 def test_greedy_target_action_breaks_ties_low() -> None:
-    tensor = QuantileTensor.zeros(1, 1, 4, 2)
-    assert greedy_target_action(tensor, 0, 0) == 0
-    assert greedy_target_action(tensor, 0, 0, frozenset({2, 3})) == 2
+    tensor = QuantileTensor.zeros(2, 1, 4, 2)
+    assert greedy_target_action(tensor, 0).tolist() == [0, 0]
+    assert greedy_target_action(tensor, 0, _mask(4, {2, 3}, {1, 3})).tolist() == [2, 1]
     with pytest.raises(EmptySetError):
-        greedy_target_action(tensor, 0, 0, frozenset())
+        greedy_target_action(tensor, 0, _mask(4, {1}, set()))
+
+
+def test_greedy_target_action_picks_per_head() -> None:
+    # Each head maximizes its own means within its own row of the mask,
+    # lowest index first among ties, as a sorted-candidate argmax does.
+    rng = np.random.default_rng(1213)
+    for _ in range(200):
+        tensor = QuantileTensor.zeros(3, 2, 5, 4)
+        tensor.values[:] = rng.integers(-2, 3, size=tensor.values.shape)
+        rows = [set(rng.choice(5, size=int(rng.integers(1, 6)), replace=False).tolist())
+                for _ in range(3)]
+        means = tensor.values[:, 1].mean(axis=2)
+        expected = []
+        for head, allowed in enumerate(rows):
+            candidates = sorted(allowed)
+            expected.append(candidates[int(np.argmax(means[head, candidates]))])
+        assert greedy_target_action(tensor, 1, _mask(5, *rows)).tolist() == expected
+
+
+def test_greedy_target_action_skips_masked_actions_when_allowed_means_are_minus_inf() -> None:
+    # Means of values near the float64 floor overflow to -inf; the pick
+    # still comes from the allowed actions.
+    tensor = QuantileTensor.zeros(1, 1, 3, 2)
+    tensor.values[0, 0, 1:] = -1.7e308
+    with np.errstate(over="ignore"):
+        assert greedy_target_action(tensor, 0, _mask(3, {1, 2})).tolist() == [1]
 
 
 def test_masked_actions_cannot_affect_the_target() -> None:
@@ -114,13 +148,15 @@ def test_masked_actions_cannot_affect_the_target() -> None:
     for _ in range(50):
         tensor = QuantileTensor.zeros(2, 3, 5, 4)
         tensor.values[:] = rng.normal(size=tensor.values.shape)
-        allowed = frozenset(int(a) for a in rng.choice(5, size=3, replace=False))
-        head, state = int(rng.integers(2)), int(rng.integers(3))
-        before = greedy_target_action(tensor, head, state, allowed)
-        outside = [a for a in range(5) if a not in allowed]
-        tensor.values[head, state, outside] *= float(rng.uniform(0.1, 10.0))
-        tensor.values[head, state, outside] += float(rng.uniform(-10.0, 10.0))
-        assert greedy_target_action(tensor, head, state, allowed) == before
+        rows = [frozenset(int(a) for a in rng.choice(5, size=3, replace=False))
+                for _ in range(2)]
+        state = int(rng.integers(3))
+        before = greedy_target_action(tensor, state, _mask(5, *rows))
+        for head, allowed in enumerate(rows):
+            outside = [a for a in range(5) if a not in allowed]
+            tensor.values[head, state, outside] *= float(rng.uniform(0.1, 10.0))
+            tensor.values[head, state, outside] += float(rng.uniform(-10.0, 10.0))
+        assert np.array_equal(greedy_target_action(tensor, state, _mask(5, *rows)), before)
 
 
 def test_point_mass_fixed_point() -> None:
@@ -246,7 +282,9 @@ def _per_head_td_update(tensor: QuantileTensor, transition: VectorTransition,
         if transition.terminal:
             targets = np.array([reward])
         else:
-            best = greedy_target_action(tensor, i, s2, allowed.get(i))
+            means = tensor.values[i, s2].mean(axis=1)
+            candidates = sorted(allowed.get(i, range(len(means))))
+            best = candidates[int(np.argmax(means[candidates]))]
             targets = reward + config.gammas[i] * tensor.values[i, s2, best]
         _pinball_step(tensor.values[i, s, a], targets, tensor.fractions,
                       config.learning_rate, config.huber_kappa)
@@ -572,3 +610,12 @@ def test_episode_log_roundtrip(tmp_path) -> None:
     broken.write_text("episode,return_0\n0,1.0\n")
     with pytest.raises(ShapeMismatch):
         load_episode_log(broken)
+
+
+@pytest.mark.parametrize("row", ["1,abc,0,1,0,0.4", "1,0.25,x,1,0,0.4"])
+def test_episode_log_names_the_line_of_a_non_numeric_cell(tmp_path, row) -> None:
+    path = tmp_path / "log.csv"
+    path.write_text("episode,return_0,success,collision,offroad,progress\n"
+                    f"0,0.5,1,0,0,1.0\n{row}\n")
+    with pytest.raises(ShapeMismatch, match=r"log\.csv, line 3: "):
+        load_episode_log(path)

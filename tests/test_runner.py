@@ -184,6 +184,17 @@ def test_compare_requires_evaluation(tmp_path) -> None:
         run_compare(config, tmp_path)
 
 
+def test_compare_names_the_line_of_a_non_numeric_evaluation_cell(run_space, tmp_path) -> None:
+    config, _, base = run_space
+    header, rows = read_csv(base / "evaluate.csv")
+    rows[1][-1] = "n/a"
+    target = run_dir(config, tmp_path) / "evaluate.csv"
+    target.parent.mkdir(parents=True)
+    target.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
+    with pytest.raises(ShapeMismatch, match=r"evaluate\.csv, line 3: .*'n/a'"):
+        run_compare(config, tmp_path)
+
+
 def test_select_writes_survivor_table(tmp_path) -> None:
     graph = build_graph(2, [(0, 1)])
     matrices = [
@@ -284,3 +295,10 @@ def test_stats_outputs_are_deterministic(tmp_path) -> None:
         assert (first / name).read_bytes() == (second / name).read_bytes()
     svg = (first / "stats.svg").read_text()
     assert svg.startswith("<svg") and "score IQM, 95% CI" in svg
+
+
+def test_load_scores_names_the_line_of_a_non_numeric_score(tmp_path) -> None:
+    path = tmp_path / "scores.csv"
+    path.write_text("algorithm,seed,run,score\na,0,0,1.0\na,0,1,x\n")
+    with pytest.raises(ShapeMismatch, match=r"scores\.csv, line 3: .*'x'"):
+        load_scores(path)

@@ -193,6 +193,11 @@ def random_instance(rng: np.random.Generator):
     return n_objectives, edges, matrices, configs
 
 
+def pair_sets(verdicts: dict[int, np.ndarray]) -> dict[int, set[tuple[int, int]]]:
+    """Boolean verdict matrices as sets of (row, column) pairs."""
+    return {obj: {(a, b) for a, b in np.argwhere(m).tolist()} for obj, m in verdicts.items()}
+
+
 def test_select_matches_plain_python_reference() -> None:
     rng = np.random.default_rng(515377)
     for _ in range(60):
@@ -203,9 +208,41 @@ def test_select_matches_plain_python_reference() -> None:
             n_objectives, set(edges), [m.tolist() for m in matrices],
             [dict(kind=c.kind, epsilon=c.epsilon, cvar_alpha=c.cvar_alpha,
                   mv_lambda=c.mv_lambda) for c in configs])
-        assert {o: set(s) for o, s in state.survivors.items()} == expected
+        assert {o: set(s) for o, s in state.survivors.items()} == expected.survivors
+        assert pair_sets(state.dom) == expected.dom
+        assert pair_sets(state.dom_by) == expected.dom_by
+        assert state.fallbacks == expected.fallbacks
         leaf = global_leaf_survivors(state, graph)
-        assert set(leaf) == ref_global_leaf(n_objectives, set(edges), expected)
+        assert set(leaf) == ref_global_leaf(n_objectives, set(edges), expected.survivors)
+
+
+def test_mask_marks_exactly_the_survivors() -> None:
+    rng = np.random.default_rng(4242)
+    for _ in range(200):
+        n_objectives, edges, matrices, configs = random_instance(rng)
+        state = select(build_graph(n_objectives, edges),
+                       [QuantileMatrix.from_values(m) for m in matrices], configs)
+        assert state.mask.shape == (n_objectives, matrices[0].shape[1])
+        assert state.mask.dtype == bool
+        for obj in range(n_objectives):
+            assert set(np.flatnonzero(state.mask[obj]).tolist()) == state.survivors[obj]
+
+
+def test_select_handles_more_actions_than_int64_has_bits() -> None:
+    # The high-index action is the only one that beats the rest, so its
+    # bit alone decides every elimination.
+    rng = np.random.default_rng(6363)
+    edges = [(0, 1), (0, 2)]
+    for n_actions, best in ((63, 62), (70, 63), (70, 69)):
+        matrices = [rng.normal(scale=0.01, size=(3, n_actions)) for _ in range(3)]
+        matrices[0][:, best] += 5.0
+        state = select(build_graph(3, edges), [QuantileMatrix.from_values(m) for m in matrices],
+                       ComparatorConfig("qd", epsilon=0.3))
+        expected = ref_select(3, set(edges), [m.tolist() for m in matrices],
+                              [dict(kind="qd", epsilon=0.3)] * 3)
+        assert state.survivors[0] == frozenset({best})
+        assert {o: set(s) for o, s in state.survivors.items()} == expected.survivors
+        assert pair_sets(state.dom) == expected.dom
 
 
 def test_survivors_never_empty_and_nested_in_inherited_set() -> None:
