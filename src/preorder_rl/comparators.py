@@ -116,8 +116,7 @@ class ComparatorConfig:
 @dataclass(frozen=True)
 class PairwiseDecision:
     """Boolean verdict matrices: ``dom[a, b]`` says a dominates b and
-    ``dom_by[a, b]`` says a is dominated by b.  Entries outside the
-    evaluation mask are False."""
+    ``dom_by[a, b]`` says a is dominated by b."""
 
     dom: np.ndarray
     dom_by: np.ndarray
@@ -212,24 +211,14 @@ def action_scores(matrix: QuantileMatrix, config: ComparatorConfig) -> np.ndarra
     return score_heads(matrix.values.T[None], config)[0]
 
 
-def classify_pairs(matrix: QuantileMatrix, config: ComparatorConfig,
-                   mask: np.ndarray | None = None) -> PairwiseDecision:
+def classify_pairs(matrix: QuantileMatrix, config: ComparatorConfig) -> PairwiseDecision:
     """Threshold pairwise score gaps into dominance verdicts.
 
-    Only pairs enabled by the symmetric boolean ``mask`` are evaluated
-    (all pairs when it is None).  A pair whose absolute gap is within
-    ``config.epsilon`` yields no verdict in either direction.
+    A pair whose absolute gap is within ``config.epsilon`` yields no
+    verdict in either direction, so the diagonal (gap 0) stays clear.
     """
     scores = action_scores(matrix, config)
     gap = scores[:, None] - scores[None, :]
     dom = gap > config.epsilon
     dom_by = gap < -config.epsilon
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != gap.shape:
-            raise ShapeMismatch(f"mask shape {mask.shape} does not match {gap.shape}")
-        dom &= mask
-        dom_by &= mask
-    np.fill_diagonal(dom, False)
-    np.fill_diagonal(dom_by, False)
     return PairwiseDecision(dom, dom_by)

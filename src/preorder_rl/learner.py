@@ -16,17 +16,18 @@ machinery:
 * ``mean-aggregation``: learn all tables, play greedily on the mean
   across objectives, ignoring the priority structure.
 
-``train`` and ``evaluate`` each keep one selection memo per call: a dict
-from state to the :class:`~preorder_rl.selection.SelectionState` the
-filter last produced there.  ``act`` and ``td_update`` read and fill it;
-``td_update`` drops the entry of the state whose cell it writes, the
-only state whose quantiles changed.  Evaluation never drops entries,
-because its tensor is frozen.  Exploration draws happen before the memo
-is consulted and the filter draws no random numbers, so the memo
-changes no result.  ``QuantileTensor.matrices`` hands the filter
-unvalidated views, so the finite checks sit where values enter a
-tensor: ``td_update`` raises on the first cell that leaves the finite
-range.
+``train`` keeps one selection memo per call: a dict from state to the
+:class:`~preorder_rl.selection.SelectionState` the filter last produced
+there.  ``act`` and ``td_update`` read and fill it; ``td_update`` drops
+the entry of the state whose cell it writes, the only state whose
+quantiles changed.  ``evaluate`` takes its memo from the caller, so every
+evaluation of one frozen tensor filters each state once; it never drops
+entries.  Exploration draws happen before the memo is consulted and the
+filter draws no random numbers, so the memo changes no result.
+``QuantileTensor.matrices`` hands the filter unvalidated views, so the
+finite checks sit where values enter a tensor: ``td_update`` raises on
+the first cell that leaves the finite range, naming its first bad head,
+and ``train`` adds the episode to the message.
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ def td_update(tensor: QuantileTensor, transition: VectorTransition,
 
     Raises:
         ValueError: the step left a non-finite estimate in the written
-            cell; the error names its state and action.
+            cell; the error names its state, action and first bad head.
     """
     s, a, s2 = transition.state, transition.action, transition.next_state
     rate = config.learning_rate if learning_rate is None else learning_rate
@@ -293,8 +294,10 @@ def td_update(tensor: QuantileTensor, transition: VectorTransition,
         targets = targets + gammas * tensor.values[np.arange(len(best)), s2, best]
     cell = tensor.values[:, s, a]
     _pinball_step(cell, targets, tensor.fractions, rate, config.huber_kappa)
-    if not np.isfinite(cell).all():
-        raise ValueError(f"quantile estimates at state {s}, action {a} are no longer finite")
+    finite = np.isfinite(cell)
+    if not finite.all():
+        raise ValueError(f"quantile estimates at state {s}, action {a}, head "
+                         f"{int(finite.all(axis=1).argmin())} are no longer finite")
     if memo is not None:
         memo.pop(s, None)
     return tensor
@@ -354,7 +357,9 @@ def train(env, config: LearnerConfig, graph: PreorderGraph, seed: int,
 
     All randomness (exploration, tie-breaking draws, environment noise)
     comes from a generator seeded with ``seed``, so identical calls
-    produce identical tensors and episode logs.
+    produce identical tensors and episode logs.  A ``ValueError`` raised
+    during an episode, such as a diverging estimate, is re-raised with
+    ``episode N:`` in front of its message.
     """
     _check_env(env, config, graph)
     rng = np.random.default_rng(seed)
@@ -370,16 +375,24 @@ def train(env, config: LearnerConfig, graph: PreorderGraph, seed: int,
         if config.learning_rate_end is not None:
             frac = episode / max(episodes - 1, 1)
             rate = max(rate + (config.learning_rate_end - rate) * frac, config.learning_rate_end)
-        records.append(_run_episode(env, tensor, config, graph, rng, episode,
-                                    config.epsilon.value(episode), rate, memo))
+        try:
+            records.append(_run_episode(env, tensor, config, graph, rng, episode,
+                                        config.epsilon.value(episode), rate, memo))
+        except ValueError as exc:
+            exc.args = (f"episode {episode}: {exc}",)
+            raise
     return tensor, records
 
 
 def evaluate(env, tensor: QuantileTensor, config: LearnerConfig, graph: PreorderGraph,
-             seed: int, episodes: int) -> list[EpisodeRecord]:
-    """Run the greedy policy without learning and log every episode."""
+             seed: int, episodes: int, *, memo: dict | None = None) -> list[EpisodeRecord]:
+    """Run the greedy policy without learning and log every episode.
+
+    ``memo`` may be shared by every evaluation of the same unchanged
+    tensor; a fresh one is used when it is None.
+    """
     _check_env(env, config, graph)
     rng = np.random.default_rng(seed)
-    memo: dict[int, SelectionState] = {}
+    memo = {} if memo is None else memo
     return [_run_episode(env, tensor, config, graph, rng, episode, 0.0, None, memo)
             for episode in range(episodes)]

@@ -24,12 +24,12 @@ class PreorderGraph:
 
     Instances are immutable after construction.  Besides the raw edges,
     the constructor precomputes the deterministic topological order,
-    per-node parent and child sets, and the transitive closure used for
-    strict-precedence queries.  For the survivor filter it also keeps
-    read-only forms of that structure:
+    per-node parent and child sets, and these read-only forms of that
+    structure, shared by strict-precedence queries and the survivor
+    filter:
 
     * ``ancestors[j, i]`` is True when i strictly precedes j (the
-      transposed closure);
+      transposed transitive closure);
     * ``ancestors_or_self`` adds the diagonal;
     * ``walk`` pairs each objective, in topological order, with its
       sorted direct parents.
@@ -39,7 +39,7 @@ class PreorderGraph:
         CycleError: the edges contain a self-loop or a directed cycle.
     """
 
-    __slots__ = ("n_objectives", "edges", "names", "_parents", "_children", "_order", "_closure",
+    __slots__ = ("n_objectives", "edges", "names", "_parents", "_children", "_order",
                  "ancestors", "ancestors_or_self", "walk")
 
     def __init__(
@@ -76,10 +76,9 @@ class PreorderGraph:
         self._parents = tuple(frozenset(p) for p in parents)
         self._children = tuple(frozenset(c) for c in children)
         self._order = self._kahn_order()
-        self._closure = self._transitive_closure()
-        self.ancestors = np.ascontiguousarray(self._closure.T)
+        self.ancestors = np.ascontiguousarray(self._transitive_closure().T)
         self.ancestors_or_self = self.ancestors | np.eye(n, dtype=bool)
-        for structure in (self._closure, self.ancestors, self.ancestors_or_self):
+        for structure in (self.ancestors, self.ancestors_or_self):
             structure.setflags(write=False)
         self.walk = tuple((obj, tuple(sorted(self._parents[obj]))) for obj in self._order)
 
@@ -131,7 +130,7 @@ class PreorderGraph:
 
     def strictly_precedes(self, higher: int, lower: int) -> bool:
         """True when a directed path of length >= 1 runs ``higher`` -> ``lower``."""
-        return bool(self._closure[self._check(higher), self._check(lower)])
+        return bool(self.ancestors[self._check(lower), self._check(higher)])
 
     def comparable(self, a: int, b: int) -> bool:
         """True when one of the two objectives strictly outranks the other."""

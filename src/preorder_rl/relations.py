@@ -5,6 +5,11 @@ another when some objective it improves on strictly outranks every
 objective the other improves on.  When the two actions improve on
 mutually incomparable objectives the pair is incomparable; with no
 strict improvement either way they are indifferent.
+
+:func:`oracle_survivors` filters actions with known reward vectors.  It
+walks no graph itself: it turns the rewards into per-objective verdicts
+and runs :func:`~preorder_rl.selection.filter_verdicts`, the walk behind
+:func:`~preorder_rl.selection.select`.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from .errors import EmptySetError, LengthMismatch
 from .preorder import PreorderGraph
-from .selection import aggregate_survivor_sets
+from .selection import filter_verdicts
 
 
 class ActionRelation(Enum):
@@ -70,12 +75,14 @@ def _has_witness(graph: PreorderGraph, winners: np.ndarray, losers: np.ndarray) 
 def oracle_survivors(graph: PreorderGraph, rewards) -> dict[int, frozenset[int]]:
     """Per-objective survivor sets for actions with known reward vectors.
 
-    This is the reference filter on exact rewards: objectives are visited
-    in topological order, each inherits its parents' verdicts, and only
-    pairs still undecided are compared on the current objective's scalar
-    reward.  A pair that is incomparable under :func:`relate` is recorded
-    as a two-way conflict, which the conflict filter clears, so neither
-    side is ever pruned by the other.
+    This is the preorder filter on exact rewards: each objective's own
+    verdict on a pair is the strict comparison of the two rewards, and
+    :func:`~preorder_rl.selection.filter_verdicts`, the walk behind
+    :func:`~preorder_rl.selection.select`, inherits, clears conflicts and
+    keeps survivors.  A pair that is incomparable under :func:`relate` is
+    a two-way conflict on every objective, so neither side is ever pruned
+    by the other.  The walk's fallback (the best-rewarded inherited
+    survivors) is shared with ``select``; it never fired on random inputs.
 
     Args:
         graph: priority preorder over the objectives.
@@ -87,50 +94,13 @@ def oracle_survivors(graph: PreorderGraph, rewards) -> dict[int, frozenset[int]]
         action indices.  Every set is non-empty.
     """
     vectors = [_as_reward_vector(r, graph.n_objectives) for r in rewards]
-    n_actions = len(vectors)
-    if n_actions == 0:
+    if not vectors:
         raise EmptySetError("need at least one action")
-
-    pair_relation: dict[tuple[int, int], ActionRelation] = {}
-    for a in range(n_actions):
-        for b in range(a + 1, n_actions):
-            pair_relation[a, b] = relate(graph, vectors[a], vectors[b])
-
-    dom: dict[int, set[tuple[int, int]]] = {}
-    dom_by: dict[int, set[tuple[int, int]]] = {}
-    survivors: dict[int, frozenset[int]] = {}
-    for obj in graph.topological_sort():
-        parent_ids = graph.parents(obj)
-        if parent_ids:
-            up = aggregate_survivor_sets([survivors[p] for p in sorted(parent_ids)])
-            dom_up = set().union(*(dom[p] for p in parent_ids))
-            dom_by_up = set().union(*(dom_by[p] for p in parent_ids))
-        else:
-            up = frozenset(range(n_actions))
-            dom_up, dom_by_up = set(), set()
-
-        dom_here = set(dom_up)
-        dom_by_here = set(dom_by_up)
-        for (a, b), rel in pair_relation.items():
-            if (a, b) in dom_up or (a, b) in dom_by_up:
-                continue
-            if rel is ActionRelation.INCOMPARABLE:
-                # Two-way conflict on every objective: cleared below, so an
-                # incomparable pair never filters either of its members.
-                dom_here.update({(a, b), (b, a)})
-                dom_by_here.update({(a, b), (b, a)})
-            elif vectors[a][obj] > vectors[b][obj]:
-                dom_here.add((a, b))
-                dom_by_here.add((b, a))
-            elif vectors[b][obj] > vectors[a][obj]:
-                dom_here.add((b, a))
-                dom_by_here.add((a, b))
-        conflicts = dom_here & dom_by_here
-        effective_dom_by = dom_by_here - conflicts
-        survivors[obj] = frozenset(
-            a for a in up
-            if not any((a, b) in effective_dom_by for b in up if b != a)
-        )
-        dom[obj] = dom_here
-        dom_by[obj] = dom_by_here
-    return survivors
+    by_objective = np.array(vectors).T
+    above = by_objective[:, :, None] > by_objective[:, None, :]
+    below = by_objective[:, :, None] < by_objective[:, None, :]
+    for a in range(len(vectors)):
+        for b in range(a + 1, len(vectors)):
+            if relate(graph, vectors[a], vectors[b]) is ActionRelation.INCOMPARABLE:
+                above[:, [a, b], [b, a]] = below[:, [a, b], [b, a]] = True
+    return filter_verdicts(graph, above, below, by_objective).survivors

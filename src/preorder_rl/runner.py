@@ -40,7 +40,11 @@ def artifact_dir(config: RunConfig, out_dir, label: str, seed: int) -> Path:
 def _train_one(config: RunConfig, variant: Variant, seed: int, out_dir) -> Path:
     env = make_env(config.env)
     learner_config = variant.learner_config(config)
-    tensor, records = train(env, learner_config, variant.graph, seed, config.episodes)
+    try:
+        tensor, records = train(env, learner_config, variant.graph, seed, config.episodes)
+    except ValueError as exc:
+        exc.args = (f"variant {variant.label}, seed {seed}: {exc}",)
+        raise
     target = artifact_dir(config, out_dir, variant.label, seed)
     save_tensor(tensor, target / "tensor.csv")
     save_episode_log(records, target / "episodes.csv")
@@ -84,7 +88,8 @@ def run_evaluate(config: RunConfig, out_dir, seeds=None) -> Path:
     Writes ``evaluate.csv`` (per variant, seed and evaluation run:
     rates, mean progress, mean per-objective returns) and ``scores.csv``
     in the ``algorithm,seed,run,score`` layout consumed by the stats
-    step, scoring each run by its success rate.  Raises
+    step, scoring each run by its success rate.  The runs of one tensor
+    share a selection memo, so each state is filtered once.  Raises
     :class:`MissingArtifact` when a tensor is missing and
     :class:`ShapeMismatch` when its shape disagrees with the config.
     """
@@ -103,9 +108,11 @@ def run_evaluate(config: RunConfig, out_dir, seeds=None) -> Path:
                                             env.n_actions, config.quantile_count))
             except ShapeMismatch as exc:
                 raise ShapeMismatch(f"variant {variant.label}, seed {seed}: {exc}") from None
+            memo: dict = {}
             for run in range(config.eval_runs):
                 records = evaluate(env, tensor, learner_config, variant.graph,
-                                   seed * _EVAL_SEED_STRIDE + run, config.eval_episodes)
+                                   seed * _EVAL_SEED_STRIDE + run, config.eval_episodes,
+                                   memo=memo)
                 count = len(records)
                 success = sum(r.success for r in records) / count
                 collision = sum(r.collision for r in records) / count

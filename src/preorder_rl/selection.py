@@ -9,14 +9,17 @@ survivor sets, merged through a virtual global leaf, are the actions a
 policy may play.
 
 :func:`select` scores every head in one vectorized
-:func:`~preorder_rl.comparators.score_heads` call per comparator config
-and thresholds all pairwise score gaps of a group at once.  The verdict
-recursion has a closed form: a pair takes an objective's own verdict
-exactly when no strict ancestor decided it, so three boolean matrix
-products with the graph's transitive closure give every objective's
-verdicts at once.  Only the survivor walk stays sequential; it tests
-each inherited action against a Python-int bitmask of the actions that
-beat it and merges parent sets with :func:`aggregate_survivor_sets`.
+:func:`~preorder_rl.comparators.score_heads` call per comparator config,
+thresholds all pairwise score gaps of a group at once, and hands the
+verdicts to :func:`filter_verdicts`, the one survivor walk in the
+package; :func:`~preorder_rl.relations.oracle_survivors` runs the same
+walk on verdicts from exact rewards.  The verdict recursion has a closed
+form: a pair takes an objective's own verdict exactly when no strict
+ancestor decided it, so three boolean matrix products with the graph's
+transitive closure give every objective's verdicts at once.  Only the
+survivor walk stays sequential; it tests each inherited action against
+a Python-int bitmask of the actions that beat it and merges parent sets
+with :func:`aggregate_survivor_sets`.
 """
 
 from __future__ import annotations
@@ -109,10 +112,24 @@ def select(graph: PreorderGraph, quantiles: Sequence[QuantileMatrix],
         gap = group_scores[:, :, None] - group_scores[:, None, :]
         above[objs] = gap > cfg.epsilon
         below[objs] = gap < -cfg.epsilon
+    # The diagonal stays clear: its gap is 0 and epsilon >= 0.
+    return filter_verdicts(graph, above, below, scores)
 
+
+def filter_verdicts(graph: PreorderGraph, above: np.ndarray, below: np.ndarray,
+                    scores: np.ndarray) -> SelectionState:
+    """The survivor walk behind :func:`select`, on precomputed verdicts.
+
+    ``above[obj, a, b]`` says a beats b on objective ``obj`` and
+    ``below[obj, a, b]`` that b beats a; both are (objectives, actions,
+    actions) boolean arrays with a clear diagonal, and a pair set in both
+    is a two-way conflict that eliminates neither action.  ``scores``
+    (objectives, actions) ranks the inherited survivors when an
+    objective's verdicts leave none of them standing.
+    """
+    n_objectives, n_actions = scores.shape
     # A pair takes an objective's own verdict exactly when no strict
     # ancestor decided it, and inherits every ancestor's fresh verdict.
-    # The diagonal is never decided: its gap is 0 and epsilon >= 0.
     above = above.reshape(n_objectives, -1)
     below = below.reshape(n_objectives, -1)
     fresh = ~(graph.ancestors @ (above | below))

@@ -209,6 +209,17 @@ def test_overflowing_quantile_spread_exits_2(tmp_path, capsys) -> None:
     assert "too large to standardize" in capsys.readouterr().err
 
 
+def test_diverging_training_exits_2_naming_variant_seed_and_episode(tmp_path, capsys) -> None:
+    config = write_config(tmp_path, env={"name": "chain-mdp"}, preorder={"n_objectives": 1},
+                          learner={"gammas": 0.9, "learning_rate": 1e308,
+                                   "initial_value": 1e308})
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "variant pr, seed 0: episode 0: " in err and "too large to standardize" in err
+    assert not list(out.glob("*/pr"))
+
+
 def test_objective_count_mismatch_fails_before_train_writes(tmp_path, capsys) -> None:
     config = write_config(tmp_path, preorder={"n_objectives": 5})
     out = tmp_path / "out"

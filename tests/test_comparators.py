@@ -139,14 +139,6 @@ def test_classify_indifferent_within_epsilon() -> None:
     assert not decision.dom_by.any()
 
 
-def test_classify_respects_mask() -> None:
-    m = matrix([[1.0, 0.0], [1.0, 0.0]])
-    decision = classify_pairs(m, ComparatorConfig("qd", 0.0), np.zeros((2, 2), dtype=bool))
-    assert not decision.dom.any() and not decision.dom_by.any()
-    with pytest.raises(ShapeMismatch):
-        classify_pairs(m, ComparatorConfig(), np.zeros((3, 3), dtype=bool))
-
-
 def test_classify_diagonal_always_clear() -> None:
     decision = classify_pairs(matrix([[1.0, 0.0]]), ComparatorConfig("qd", 0.0))
     assert not decision.dom.diagonal().any()

@@ -366,13 +366,14 @@ def test_scalar_act_matches_the_mean_of_means(mode) -> None:
 @pytest.mark.parametrize("mode", [PREORDER, WEIGHTED_SUM, MEAN_AGGREGATION])
 def test_update_that_overflows_names_the_cell(mode) -> None:
     # theta 1e308 stepping toward a 1.7e308 target at rate 1e308: every
-    # quantile from tau = 13/16 up overflows to inf.
-    config = LearnerConfig(n_objectives=2, gammas=(0.9, 0.9), mode=mode, weights=(1.0, 0.0),
+    # quantile from tau = 13/16 up overflows to inf.  Only the last head
+    # starts that high, so it is the first bad head.
+    config = LearnerConfig(n_objectives=2, gammas=(0.9, 0.9), mode=mode, weights=(0.0, 1.0),
                            learning_rate=1e308, quantile_count=8)
     tensor = QuantileTensor.filled(config.n_heads, 3, 2, 8, 1.0)
-    tensor.values[:, 0, 1] = 1.0e308
-    transition = VectorTransition(0, 1, (1.7e308, 1.7e308), 2, False)
-    with pytest.raises(ValueError, match="state 0, action 1"):
+    tensor.values[-1, 0, 1] = 1.0e308
+    transition = VectorTransition(0, 1, (1.0, 1.7e308), 2, False)
+    with pytest.raises(ValueError, match=f"state 0, action 1, head {config.n_heads - 1} "):
         td_update(tensor, transition, config, CHAIN2)
 
 

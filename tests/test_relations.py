@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+from preorder_rl.comparators import ComparatorConfig, QuantileMatrix
 from preorder_rl.errors import EmptySetError, LengthMismatch
 from preorder_rl.preorder import build_graph
 from preorder_rl.relations import ActionRelation, oracle_survivors, relate
+from preorder_rl.selection import select
 
 CHAIN2 = build_graph(2, [(0, 1)])
 
@@ -104,14 +107,18 @@ def test_oracle_rejects_empty_action_list() -> None:
         oracle_survivors(CHAIN2, [])
 
 
+def _permuted_dag(rng: random.Random, n: int):
+    # Edges run from earlier to later in a random ranking, not by index.
+    rank = rng.sample(range(n), n)
+    pairs = (rng.sample(range(n), 2) for _ in range(n)) if n > 1 else ()
+    return build_graph(n, {(a, b) if rank[a] < rank[b] else (b, a) for a, b in pairs})
+
+
 def test_oracle_survivor_sets_never_empty_on_random_inputs() -> None:
     rng = random.Random(4242)
-    for _ in range(100):
-        n = rng.randint(1, 4)
-        edges = {(min(a, b), max(a, b))
-                 for a, b in (rng.sample(range(n), 2) for _ in range(n))
-                 } if n > 1 else set()
-        graph = build_graph(n, edges)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        graph = _permuted_dag(rng, n)
         actions = rng.randint(1, 6)
         rewards = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(actions)]
         survivors = oracle_survivors(graph, rewards)
@@ -119,6 +126,23 @@ def test_oracle_survivor_sets_never_empty_on_random_inputs() -> None:
         for kept in survivors.values():
             assert kept
             assert kept <= set(range(actions))
+
+
+@pytest.mark.parametrize("kind", ["qd", "cvar", "mv"])
+def test_oracle_matches_select_on_single_quantile_chains(kind) -> None:
+    # On a chain no pair is incomparable, and one quantile per action
+    # scores it monotonically in its reward, so both filters see the
+    # same verdicts.
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        order = rng.sample(range(n), n)
+        graph = build_graph(n, list(zip(order, order[1:])))
+        rewards = np.array([[rng.randint(-2, 2) for _ in range(n)]
+                            for _ in range(rng.randint(1, 6))], dtype=float)
+        quantiles = [QuantileMatrix.from_values(rewards[:, j][None]) for j in range(n)]
+        expected = select(graph, quantiles, ComparatorConfig(kind)).survivors
+        assert oracle_survivors(graph, rewards) == expected
 
 
 def test_oracle_respects_dominance_on_a_chain() -> None:

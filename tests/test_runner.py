@@ -8,11 +8,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from preorder_rl import learner
 from preorder_rl.artifacts import load_scores
 from preorder_rl.comparators import ComparatorConfig, QuantileMatrix
 from preorder_rl.config import config_hash, parse_config
@@ -106,6 +108,28 @@ def test_evaluate_is_deterministic(run_space) -> None:
     before = (base / "evaluate.csv").read_bytes()
     run_evaluate(config, out)
     assert (base / "evaluate.csv").read_bytes() == before
+
+
+def test_evaluation_filters_each_state_once_per_tensor(run_space, monkeypatch) -> None:
+    # eval_runs is 2, and every run of one frozen tensor shares its filter results.
+    config, out, _ = run_space
+    requested, filtered = [], []
+    matrices, select_fn = learner.QuantileTensor.matrices, learner.select
+
+    def recording_matrices(tensor, state):
+        requested.append((tensor, state))
+        return matrices(tensor, state)
+
+    def counting_select(*args, **kwargs):
+        filtered.append(requested.pop())
+        return select_fn(*args, **kwargs)
+
+    monkeypatch.setattr(learner.QuantileTensor, "matrices", recording_matrices)
+    monkeypatch.setattr(learner, "select", counting_select)
+    run_evaluate(config, out)
+    # The tensors stay referenced in ``filtered``, so their ids are distinct.
+    counts = Counter((id(tensor), state) for tensor, state in filtered)
+    assert counts and max(counts.values()) == 1
 
 
 def test_compare_aggregates_evaluation(run_space) -> None:
