@@ -2,8 +2,10 @@
 
 A run config bundles one environment, a base priority preorder, shared
 learner settings, and a list of algorithm variants to train side by
-side.  Output directories are keyed by a short hash of the canonical
-JSON so different configs never collide.
+side.  Each variant carries the one validated :class:`LearnerConfig` it
+trains and evaluates with: the shared settings plus its own mode,
+comparator, bootstrap filter and weights.  Output directories are keyed
+by a short hash of the canonical JSON so different configs never collide.
 """
 
 from __future__ import annotations
@@ -24,30 +26,12 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class Variant:
-    """One trainable algorithm within a run."""
+    """One trainable algorithm within a run: the validated learner
+    configuration it trains and evaluates with, and its preorder."""
 
     label: str
-    mode: str
-    comparator: ComparatorConfig
-    training_preorder: bool
-    weights: tuple[float, ...] | None
+    learner: LearnerConfig
     graph: PreorderGraph
-
-    def learner_config(self, run: "RunConfig") -> LearnerConfig:
-        return LearnerConfig(
-            n_objectives=run.graph.n_objectives,
-            gammas=run.gammas,
-            learning_rate=run.learning_rate,
-            learning_rate_end=run.learning_rate_end,
-            epsilon=run.epsilon,
-            quantile_count=run.quantile_count,
-            comparator=self.comparator,
-            training_preorder=self.training_preorder,
-            mode=self.mode,
-            weights=self.weights,
-            huber_kappa=run.huber_kappa,
-            initial_value=run.initial_value,
-        )
 
 
 @dataclass(frozen=True)
@@ -55,13 +39,6 @@ class RunConfig:
     raw: dict
     env: EnvSpec
     graph: PreorderGraph
-    gammas: tuple[float, ...]
-    learning_rate: float
-    learning_rate_end: float | None
-    quantile_count: int
-    epsilon: EpsilonSchedule
-    huber_kappa: float
-    initial_value: float
     episodes: int
     seeds: tuple[int, ...]
     eval_runs: int
@@ -69,15 +46,22 @@ class RunConfig:
     variants: tuple[Variant, ...]
 
 
-def _get(raw: dict, field: str, kind, where: str):
-    if field not in raw:
-        raise ConfigError(f"{where}.{field}: missing")
-    value = raw[field]
+def _typed(value, kind, name: str):
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"{where}.{field}: expected {kind.__name__}, got {type(value).__name__}")
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _get(raw: dict, field: str, kind, where: str):
+    if field not in raw:
+        raise ConfigError(f"{where}.{field}: missing")
+    return _typed(raw[field], kind, f"{where}.{field}")
+
+
+def _floats(values: list, name: str) -> tuple[float, ...]:
+    return tuple(_typed(v, float, f"{name}[{i}]") for i, v in enumerate(values))
 
 
 def _opt(raw: dict, field: str, kind, where: str, default):
@@ -126,7 +110,7 @@ def _parse_comparator(raw: dict, where: str) -> ComparatorConfig:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_variant(raw: dict, index: int, base: PreorderGraph) -> Variant:
+def _parse_variant(raw: dict, index: int, base: PreorderGraph, shared: dict) -> Variant:
     where = f"variants[{index}]"
     label = _get(raw, "label", str, where)
     if not label or any(ch in label for ch in "/\\ "):
@@ -139,11 +123,7 @@ def _parse_variant(raw: dict, index: int, base: PreorderGraph) -> Variant:
     training = _opt(raw, "training_preorder", bool, where, True)
     weights = None
     if "weights" in raw:
-        weights_raw = _get(raw, "weights", list, where)
-        try:
-            weights = tuple(float(w) for w in weights_raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}.weights: {exc}") from exc
+        weights = _floats(_get(raw, "weights", list, where), f"{where}.weights")
     if mode == WEIGHTED_SUM and weights is None:
         raise ConfigError(f"{where}.weights: required by weighted-sum mode")
     graph = base
@@ -154,7 +134,13 @@ def _parse_variant(raw: dict, index: int, base: PreorderGraph) -> Variant:
     unknown = set(raw) - {"label", "mode", "comparator", "training_preorder", "weights", "preorder"}
     if unknown:
         raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
-    return Variant(label, mode, comparator, training, weights, graph)
+    try:
+        learner = LearnerConfig(n_objectives=base.n_objectives, comparator=comparator,
+                                training_preorder=training, mode=mode, weights=weights,
+                                **shared)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return Variant(label, learner, graph)
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -175,26 +161,31 @@ def parse_config(raw: dict) -> RunConfig:
     if isinstance(gammas_raw, (int, float)) and not isinstance(gammas_raw, bool):
         gammas = tuple(float(gammas_raw) for _ in range(graph.n_objectives))
     elif isinstance(gammas_raw, list):
-        try:
-            gammas = tuple(float(g) for g in gammas_raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"learner.gammas: {exc}") from exc
+        gammas = _floats(gammas_raw, "learner.gammas")
         if len(gammas) != graph.n_objectives:
             raise ConfigError(f"learner.gammas: expected {graph.n_objectives} values, "
                               f"got {len(gammas)}")
     else:
         raise ConfigError("learner.gammas: expected a number or a list of numbers")
-    epsilon = EpsilonSchedule(
-        _opt(learner, "epsilon_start", float, "learner", 1.0),
-        _opt(learner, "epsilon_end", float, "learner", 0.05),
-        _opt(learner, "epsilon_decay_episodes", int, "learner", 1),
-    )
     known = {"gammas", "learning_rate", "learning_rate_end", "quantile_count",
              "epsilon_start", "epsilon_end", "epsilon_decay_episodes", "huber_kappa",
              "initial_value"}
     unknown = set(learner) - known
     if unknown:
         raise ConfigError(f"learner: unknown fields {sorted(unknown)}")
+    shared = dict(
+        gammas=gammas,
+        learning_rate=_opt(learner, "learning_rate", float, "learner", 0.1),
+        learning_rate_end=_opt(learner, "learning_rate_end", float, "learner", None),
+        quantile_count=_opt(learner, "quantile_count", int, "learner", 8),
+        epsilon=EpsilonSchedule(
+            _opt(learner, "epsilon_start", float, "learner", 1.0),
+            _opt(learner, "epsilon_end", float, "learner", 0.05),
+            _opt(learner, "epsilon_decay_episodes", int, "learner", 1),
+        ),
+        huber_kappa=_opt(learner, "huber_kappa", float, "learner", 0.0),
+        initial_value=_opt(learner, "initial_value", float, "learner", 0.0),
+    )
 
     episodes = _get(raw, "episodes", int, "config")
     if episodes < 1:
@@ -213,8 +204,11 @@ def parse_config(raw: dict) -> RunConfig:
     variants_raw = _get(raw, "variants", list, "config")
     if not variants_raw:
         raise ConfigError("config.variants: must list at least one variant")
-    variants = tuple(_parse_variant(v, i, graph) if isinstance(v, dict)
-                     else _raise_variant(i) for i, v in enumerate(variants_raw))
+    variants = []
+    for i, v in enumerate(variants_raw):
+        if not isinstance(v, dict):
+            raise ConfigError(f"variants[{i}]: expected an object")
+        variants.append(_parse_variant(v, i, graph, shared))
     labels = [v.label for v in variants]
     if len(set(labels)) != len(labels):
         raise ConfigError("config.variants: duplicate labels")
@@ -225,33 +219,8 @@ def parse_config(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"config: unknown fields {sorted(unknown)}")
 
-    run = RunConfig(
-        raw=raw,
-        env=env,
-        graph=graph,
-        gammas=gammas,
-        learning_rate=_opt(learner, "learning_rate", float, "learner", 0.1),
-        learning_rate_end=_opt(learner, "learning_rate_end", float, "learner", None),
-        quantile_count=_opt(learner, "quantile_count", int, "learner", 8),
-        epsilon=epsilon,
-        huber_kappa=_opt(learner, "huber_kappa", float, "learner", 0.0),
-        initial_value=_opt(learner, "initial_value", float, "learner", 0.0),
-        episodes=episodes,
-        seeds=tuple(seeds_raw),
-        eval_runs=eval_runs,
-        eval_episodes=eval_episodes,
-        variants=variants,
-    )
-    for variant in variants:
-        try:
-            variant.learner_config(run)
-        except ConfigError as exc:
-            raise ConfigError(f"variants[{labels.index(variant.label)}]: {exc}") from exc
-    return run
-
-
-def _raise_variant(index: int):
-    raise ConfigError(f"variants[{index}]: expected an object")
+    return RunConfig(raw=raw, env=env, graph=graph, episodes=episodes, seeds=tuple(seeds_raw),
+                     eval_runs=eval_runs, eval_episodes=eval_episodes, variants=tuple(variants))
 
 
 def load_config(path) -> RunConfig:

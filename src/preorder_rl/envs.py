@@ -16,6 +16,7 @@ through the generator passed in, so runs are reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -68,6 +69,19 @@ def _finite(params: dict[str, object], name: str) -> float:
     value = float(params[name])
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {params[name]!r}")
+    return value
+
+
+def _integer(params: dict[str, object], name: str, minimum: int) -> int:
+    value = params[name]
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return value
 
 
@@ -128,14 +142,14 @@ class ChainMDP:
 
     def __init__(self, spec: EnvSpec) -> None:
         p = _params(spec, {"length": 4, "n_objectives": 1})
-        length = int(p["length"])
+        length = _integer(p, "length", 1)
         if length < 2:
             raise ConfigError(f"chain length must be >= 2, got {length}")
         self.spec = spec
         self.length = length
         self.n_states = length
         self.n_actions = 1
-        self.n_objectives = int(p["n_objectives"])
+        self.n_objectives = _integer(p, "n_objectives", 1)
         self.objective_names = tuple(f"obj{i}" for i in range(self.n_objectives))
         self._state = 0
 
@@ -216,7 +230,7 @@ class CrossingGrid:
             "goal_bonus": 0.3,
             "comfort_penalty": -0.05,
         })
-        width, height = int(p["width"]), int(p["height"])
+        width, height = _integer(p, "width", 1), _integer(p, "height", 1)
         if width < 3 or height < 3:
             raise ConfigError(f"grid must be at least 3x3, got {width}x{height}")
         density = str(p["density"])
@@ -228,7 +242,7 @@ class CrossingGrid:
         self.width = width
         self.height = height
         self.cars_per_row = self._DENSITY[density]
-        self.lane_halfwidth = int(p["lane_halfwidth"])
+        self.lane_halfwidth = _integer(p, "lane_halfwidth", 0)
         self.crash_penalty = _finite(p, "crash_penalty")
         self.risk_penalty = _finite(p, "risk_penalty")
         self.lane_penalty = _finite(p, "lane_penalty")

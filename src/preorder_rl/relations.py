@@ -34,6 +34,9 @@ def _as_reward_vector(rewards, n_objectives: int) -> np.ndarray:
     vec = np.asarray(rewards, dtype=float)
     if vec.shape != (n_objectives,):
         raise LengthMismatch(f"expected a reward vector of length {n_objectives}, got shape {vec.shape}")
+    nan = np.flatnonzero(np.isnan(vec))
+    if nan.size:
+        raise ValueError(f"reward for objective {nan[0]} is NaN")
     return vec
 
 

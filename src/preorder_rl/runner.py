@@ -39,9 +39,8 @@ def artifact_dir(config: RunConfig, out_dir, label: str, seed: int) -> Path:
 
 def _train_one(config: RunConfig, variant: Variant, seed: int, out_dir) -> Path:
     env = make_env(config.env)
-    learner_config = variant.learner_config(config)
     try:
-        tensor, records = train(env, learner_config, variant.graph, seed, config.episodes)
+        tensor, records = train(env, variant.learner, variant.graph, seed, config.episodes)
     except ValueError as exc:
         exc.args = (f"variant {variant.label}, seed {seed}: {exc}",)
         raise
@@ -62,7 +61,7 @@ def run_train(config: RunConfig, out_dir, seeds=None, jobs: int = 1) -> Path:
     seeds = tuple(seeds) if seeds is not None else config.seeds
     env = make_env(config.env)
     for variant in config.variants:
-        _check_env(env, variant.learner_config(config), variant.graph)
+        _check_env(env, variant.learner, variant.graph)
     base = run_dir(config, out_dir)
     base.mkdir(parents=True, exist_ok=True)
     (base / "config.json").write_text(json.dumps(config.raw, indent=2, sort_keys=True) + "\n")
@@ -99,18 +98,18 @@ def run_evaluate(config: RunConfig, out_dir, seeds=None) -> Path:
     eval_rows: list[list] = []
     score_rows: list[list] = []
     for variant in config.variants:
-        learner_config = variant.learner_config(config)
+        learner = variant.learner
         for seed in seeds:
             path = artifact_dir(config, out_dir, variant.label, seed) / "tensor.csv"
             env = make_env(config.env)
             try:
-                tensor = load_tensor(path, (learner_config.n_heads, env.n_states,
-                                            env.n_actions, config.quantile_count))
+                tensor = load_tensor(path, (learner.n_heads, env.n_states,
+                                            env.n_actions, learner.quantile_count))
             except ShapeMismatch as exc:
                 raise ShapeMismatch(f"variant {variant.label}, seed {seed}: {exc}") from None
             memo: dict = {}
             for run in range(config.eval_runs):
-                records = evaluate(env, tensor, learner_config, variant.graph,
+                records = evaluate(env, tensor, learner, variant.graph,
                                    seed * _EVAL_SEED_STRIDE + run, config.eval_episodes,
                                    memo=memo)
                 count = len(records)
@@ -151,11 +150,11 @@ def run_compare(config: RunConfig, out_dir) -> Path:
     variant_by_label = {v.label: v for v in config.variants}
     ablation_rows = []
     for label in labels:
-        variant = variant_by_label[label]
+        learner = variant_by_label[label].learner
         m = means[label]
         ablation_rows.append([
-            label, variant.mode, variant.comparator.kind,
-            float(variant.comparator.epsilon), int(variant.training_preorder), *m[:4],
+            label, learner.mode, learner.comparator.kind,
+            float(learner.comparator.epsilon), int(learner.training_preorder), *m[:4],
         ])
     write_rows(base / "ablation.csv",
                ["variant", "mode", "comparator", "epsilon", "training_preorder",
@@ -163,7 +162,7 @@ def run_compare(config: RunConfig, out_dir) -> Path:
                ablation_rows)
 
     baseline = next((v.label for v in config.variants
-                     if v.mode == "weighted-sum" and v.label in means), None)
+                     if v.learner.mode == "weighted-sum" and v.label in means), None)
     reward_header = ["variant"] + [f"return_{i}" for i in range(n)]
     if baseline is not None:
         reward_header += [f"delta_pct_{i}" for i in range(n)]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -31,23 +32,24 @@ def test_minimal_config_fills_defaults() -> None:
     assert run.env.episode_cap == 100
     assert dict(run.env.params) == {}
     assert run.graph.n_objectives == 2
-    assert run.gammas == (0.95, 0.95)
-    assert run.learning_rate == pytest.approx(0.1)
-    assert run.learning_rate_end is None
-    assert run.quantile_count == 8
-    assert run.epsilon == EpsilonSchedule(1.0, 0.05, 1)
-    assert run.huber_kappa == 0.0
-    assert run.initial_value == 0.0
+    (variant,) = run.variants
+    learner = variant.learner
+    assert learner.gammas == (0.95, 0.95)
+    assert learner.learning_rate == pytest.approx(0.1)
+    assert learner.learning_rate_end is None
+    assert learner.quantile_count == 8
+    assert learner.epsilon == EpsilonSchedule(1.0, 0.05, 1)
+    assert learner.huber_kappa == 0.0
+    assert learner.initial_value == 0.0
     assert run.episodes == 10
     assert run.seeds == (0,)
     assert run.eval_runs == 1
     assert run.eval_episodes == 100
-    (variant,) = run.variants
     assert variant.label == "pr"
-    assert variant.mode == PREORDER
-    assert variant.training_preorder is True
-    assert variant.weights is None
-    assert variant.comparator == ComparatorConfig("qd", 0.0)
+    assert learner.mode == PREORDER
+    assert learner.training_preorder is True
+    assert learner.weights is None
+    assert learner.comparator == ComparatorConfig("qd", 0.0)
     assert variant.graph is run.graph
 
 
@@ -76,21 +78,22 @@ def test_full_config_round_trip() -> None:
     assert run.raw is raw
     assert run.env.episode_cap == 40
     assert run.env.params["risk_penalty"] == -0.5
-    assert run.gammas == (0.9, 0.8, 0.7)
-    assert run.learning_rate_end == pytest.approx(0.01)
-    assert run.quantile_count == 4
-    assert run.epsilon == EpsilonSchedule(0.9, 0.1, 50)
-    assert run.huber_kappa == 1.0
-    assert run.initial_value == -1.0
+    for variant in run.variants:
+        assert variant.learner.gammas == (0.9, 0.8, 0.7)
+        assert variant.learner.learning_rate_end == pytest.approx(0.01)
+        assert variant.learner.quantile_count == 4
+        assert variant.learner.epsilon == EpsilonSchedule(0.9, 0.1, 50)
+        assert variant.learner.huber_kappa == 1.0
+        assert variant.learner.initial_value == -1.0
     assert run.seeds == (3, 1, 4)
     assert run.eval_runs == 2 and run.eval_episodes == 25
 
     pr, ws, flat = run.variants
-    assert pr.comparator == ComparatorConfig("cvar", 0.0, cvar_alpha=0.5)
-    assert ws.mode == WEIGHTED_SUM
-    assert ws.weights == (1.0, 2.0, 3.0)
-    assert ws.training_preorder is False
-    assert flat.mode == MEAN_AGGREGATION
+    assert pr.learner.comparator == ComparatorConfig("cvar", 0.0, cvar_alpha=0.5)
+    assert ws.learner.mode == WEIGHTED_SUM
+    assert ws.learner.weights == (1.0, 2.0, 3.0)
+    assert ws.learner.training_preorder is False
+    assert flat.learner.mode == MEAN_AGGREGATION
     assert flat.graph is not run.graph
     assert flat.graph.n_objectives == 3
     assert not flat.graph.edges
@@ -98,7 +101,7 @@ def test_full_config_round_trip() -> None:
 
 def test_scalar_gamma_broadcasts() -> None:
     raw = minimal(preorder={"n_objectives": 4}, learner={"gammas": 0.8})
-    assert parse_config(raw).gammas == (0.8, 0.8, 0.8, 0.8)
+    assert parse_config(raw).variants[0].learner.gammas == (0.8, 0.8, 0.8, 0.8)
 
 
 def test_learner_config_wiring() -> None:
@@ -110,7 +113,7 @@ def test_learner_config_wiring() -> None:
                    "training_preorder": False}],
     )
     run = parse_config(raw)
-    cfg = run.variants[0].learner_config(run)
+    cfg = run.variants[0].learner
     assert cfg.n_objectives == 2
     assert cfg.gammas == (0.9, 0.9)
     assert cfg.learning_rate == pytest.approx(0.3)
@@ -122,7 +125,7 @@ def test_learner_config_wiring() -> None:
     assert cfg.mode == WEIGHTED_SUM
     assert cfg.weights == (2.0, 1.0)
     assert cfg.training_preorder is False
-    assert cfg.comparator is run.variants[0].comparator
+    assert cfg.comparator == ComparatorConfig("qd", 0.0)
 
 
 def test_errors_name_the_offending_field() -> None:
@@ -187,6 +190,31 @@ def test_variant_errors_name_the_offending_entry() -> None:
     with pytest.raises(ConfigError, match=r"variants\[0\]"):
         parse_config(minimal(variants=[{"label": "a", "mode": "weighted-sum",
                                         "weights": [1.0]}]))
+
+
+@pytest.mark.parametrize(("entry", "kind"), [("0.9", "str"), (False, "bool"), (None, "NoneType")])
+def test_gamma_list_entries_must_be_numbers(entry, kind) -> None:
+    raw = minimal(learner={"gammas": [0.9, entry]})
+    with pytest.raises(ConfigError, match=rf"learner.gammas\[1\]: expected float, got {kind}"):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize(("entry", "kind"), [("1", "str"), (True, "bool"), ([1], "list")])
+def test_weight_list_entries_must_be_numbers(entry, kind) -> None:
+    raw = minimal(variants=[{"label": "ws", "mode": "weighted-sum", "weights": [1, entry]}])
+    with pytest.raises(ConfigError,
+                       match=rf"variants\[0\].weights\[1\]: expected float, got {kind}"):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize(("params", "message"), [
+    ({"width": 7.9}, "env.params: width must be an integer, got 7.9"),
+    ({"width": "9"}, "env.params: width must be an integer, got '9'"),
+    ({"lane_halfwidth": -3}, "env: lane_halfwidth must be >= 0, got -3")])
+def test_env_integer_params_are_config_errors(params, message) -> None:
+    raw = minimal(env={"name": "crossing-grid", "params": params})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(raw)
 
 
 def test_load_config_reads_json(tmp_path) -> None:

@@ -1,4 +1,4 @@
-"""Every quick demo runs to completion against the current package.
+"""Every quick demo and every README example runs against the current package.
 
 ``demos/05_crossing_the_grid.py`` trains on the crossing grid for about
 20 s and is left out.
@@ -6,12 +6,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from preorder_rl.cli import _build_parser
+from preorder_rl.config import parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ("01_priority_graphs", "02_comparing_quantile_profiles",
@@ -27,3 +35,33 @@ def test_demo_exits_cleanly(demo, tmp_path) -> None:
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def _readme_blocks(language: str) -> list[str]:
+    # Fences pair up in order, so a closing fence never opens a block.
+    text = (ROOT / "README.md").read_text()
+    return [body for lang, body in re.findall(r"^```(\w*)\n(.*?)^```", text, re.S | re.M)
+            if lang == language]
+
+
+def test_readme_examples_match_the_package() -> None:
+    (quickstart,) = _readme_blocks("python")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(quickstart, "README.md", "exec"), {})
+    assert out.getvalue()
+
+    (run_config,) = _readme_blocks("json")
+    config = parse_config(json.loads(run_config))
+    assert [v.label for v in config.variants] == ["priority", "weighted"]
+
+    commands = [line for block in _readme_blocks("")
+                for line in block.splitlines() if line.startswith("preorder-rl ")]
+    assert {shlex.split(line)[1] for line in commands} == {
+        "train", "evaluate", "compare", "select", "stats"}
+    parser = _build_parser()
+    for line in commands:
+        # Drop the [optional] brackets the synopsis uses; keep the flags inside.
+        argv = shlex.split(re.sub(r"[\[\]]", "", line))[1:]
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]

@@ -140,6 +140,35 @@ def test_grid_validates_geometry_and_density() -> None:
         grid(density="high", width=4)
 
 
+@pytest.mark.parametrize(("name", "param"), [
+    ("crossing-grid", "width"), ("crossing-grid", "height"),
+    ("crossing-grid", "lane_halfwidth"), ("chain-mdp", "length"),
+    ("chain-mdp", "n_objectives")])
+@pytest.mark.parametrize("value", [7.9, 5.0, "9", True, None])
+def test_integer_params_reject_other_types_by_name(name, param, value) -> None:
+    with pytest.raises(TypeError, match=f"{param} must be an integer"):
+        make_env(EnvSpec(name, params={param: value}))
+
+
+@pytest.mark.parametrize(("name", "param", "value"), [
+    ("crossing-grid", "lane_halfwidth", -3), ("chain-mdp", "n_objectives", 0),
+    ("chain-mdp", "n_objectives", -1)])
+def test_integer_params_below_their_minimum_are_rejected(name, param, value) -> None:
+    with pytest.raises(ConfigError, match=f"{param} must be >= "):
+        make_env(EnvSpec(name, params={param: value}))
+
+
+def test_numpy_integer_params_follow_the_same_rules() -> None:
+    env = make_env(EnvSpec("crossing-grid", params={"width": np.int64(9),
+                                                     "lane_halfwidth": np.int32(1)}))
+    assert (env.width, env.lane_halfwidth) == (9, 1)
+    assert type(env.width) is int
+    with pytest.raises(ConfigError, match="lane_halfwidth must be >= 0"):
+        make_env(EnvSpec("crossing-grid", params={"lane_halfwidth": np.int64(-1)}))
+    with pytest.raises(TypeError, match="width must be an integer"):
+        make_env(EnvSpec("crossing-grid", params={"width": np.bool_(True)}))
+
+
 def test_grid_reset_is_reproducible() -> None:
     env = grid()
     first = env.reset(np.random.default_rng(42))

@@ -61,6 +61,21 @@ def test_length_mismatch_rejected() -> None:
         relate(CHAIN2, (1, 2), (0,))
 
 
+def test_nan_rewards_are_rejected_by_objective() -> None:
+    nan = float("nan")
+    with pytest.raises(ValueError, match="objective 0 is NaN"):
+        relate(CHAIN2, (nan, 0), (1, 5))
+    with pytest.raises(ValueError, match="objective 1 is NaN"):
+        relate(CHAIN2, (1, 5), (0, nan))
+    with pytest.raises(ValueError, match="objective 0 is NaN"):
+        oracle_survivors(CHAIN2, [(nan, 0), (1, 5)])
+    # Infinite rewards are ordered, so they stay accepted.
+    inf = float("inf")
+    assert relate(CHAIN2, (inf, 0), (1, 5)) is ActionRelation.DOMINATES
+    assert relate(CHAIN2, (-inf, 0), (1, 5)) is ActionRelation.DOMINATED_BY
+    assert oracle_survivors(CHAIN2, [(-inf, 0), (1, 5)])[1] == {1}
+
+
 def test_relation_symmetries_on_random_inputs() -> None:
     rng = random.Random(99)
     swap = {
