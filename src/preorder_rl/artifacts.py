@@ -16,6 +16,7 @@ context.
 from __future__ import annotations
 
 import csv
+import math
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -146,22 +147,30 @@ def save_quantile_csv(matrix: QuantileMatrix, path) -> None:
 
 
 def load_quantile_csv(path) -> QuantileMatrix:
-    """Read a matrix written by :func:`save_quantile_csv`."""
+    """Read a matrix written by :func:`save_quantile_csv`; the file's path
+    heads every error, which keeps its type."""
     header, rows = read_rows(path, "quantile CSV")
     if not header or header[0] != "tau":
         raise ShapeMismatch(f"{path}: expected a header starting with 'tau'")
     if not rows:
         raise ShapeMismatch(f"{path}: no quantile rows")
     data = np.array(parse_rows(path, rows, lambda row: [float(cell) for cell in row]))
-    return QuantileMatrix(data[:, 1:], data[:, 0])
+    try:
+        return QuantileMatrix(data[:, 1:], data[:, 0])
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_scores(path) -> dict[str, np.ndarray]:
-    """Read an ``algorithm,seed,run,score`` CSV, grouped by algorithm."""
+    """Read an ``algorithm,seed,run,score`` CSV, grouped by algorithm.
+    A non-finite score raises ``ValueError`` naming the file and line."""
     header, rows = read_rows(path, "score file")
     if header != SCORE_HEADER:
         raise MissingArtifact(f"{path}: expected header {','.join(SCORE_HEADER)}")
     grouped: dict[str, list[float]] = {}
-    for name, score in parse_rows(path, rows, lambda row: (row[0], float(row[3]))):
+    parsed = parse_rows(path, rows, lambda row: (row[0], float(row[3])))
+    for line, (name, score) in enumerate(parsed, start=2):
+        if not math.isfinite(score):
+            raise ValueError(f"{path}, line {line}: scores must be finite, got {score}")
         grouped.setdefault(name, []).append(score)
     return {name: np.array(scores) for name, scores in grouped.items()}

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .artifacts import load_quantile_csv
 from .comparators import ComparatorConfig
-from .config import _parse_preorder, load_config
+from .config import _parse_preorder, _seeds, load_config
 from .errors import ConfigError, LengthMismatch, MissingArtifact, ShapeMismatch
 from .runner import run_compare, run_evaluate, run_select, run_stats, run_train
 
@@ -28,12 +28,10 @@ EXIT_SHAPE = 4
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     try:
-        seeds = tuple(int(part) for part in text.split(",") if part.strip() != "")
+        seeds = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"--seeds: {exc}") from exc
-    if not seeds:
-        raise ConfigError("--seeds: expected a comma-separated list of ints")
-    return seeds
+    return _seeds(seeds, "--seeds")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -68,6 +68,15 @@ def _opt(raw: dict, field: str, kind, where: str, default):
     return _get(raw, field, kind, where) if field in raw else default
 
 
+def _seeds(values: list, name: str) -> tuple[int, ...]:
+    if not values or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
+                             for s in values):
+        raise ConfigError(f"{name}: expected a non-empty list of ints >= 0")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{name}: duplicate seeds")
+    return tuple(values)
+
+
 def _parse_env(raw: dict) -> EnvSpec:
     env = _get(raw, "env", dict, "config")
     name = _get(env, "name", str, "env")
@@ -173,29 +182,29 @@ def parse_config(raw: dict) -> RunConfig:
     unknown = set(learner) - known
     if unknown:
         raise ConfigError(f"learner: unknown fields {sorted(unknown)}")
+    schedule = (_opt(learner, "epsilon_start", float, "learner", 1.0),
+                _opt(learner, "epsilon_end", float, "learner", 0.05),
+                _opt(learner, "epsilon_decay_episodes", int, "learner", 1))
     shared = dict(
         gammas=gammas,
         learning_rate=_opt(learner, "learning_rate", float, "learner", 0.1),
         learning_rate_end=_opt(learner, "learning_rate_end", float, "learner", None),
         quantile_count=_opt(learner, "quantile_count", int, "learner", 8),
-        epsilon=EpsilonSchedule(
-            _opt(learner, "epsilon_start", float, "learner", 1.0),
-            _opt(learner, "epsilon_end", float, "learner", 0.05),
-            _opt(learner, "epsilon_decay_episodes", int, "learner", 1),
-        ),
         huber_kappa=_opt(learner, "huber_kappa", float, "learner", 0.0),
         initial_value=_opt(learner, "initial_value", float, "learner", 0.0),
     )
+    # The shared values are checked once here, so an out-of-range one is
+    # blamed on the learner block rather than on the first variant.
+    try:
+        shared["epsilon"] = EpsilonSchedule(*schedule)
+        LearnerConfig(n_objectives=graph.n_objectives, **shared)
+    except ConfigError as exc:
+        raise ConfigError(f"learner: {exc}") from exc
 
     episodes = _get(raw, "episodes", int, "config")
     if episodes < 1:
         raise ConfigError(f"config.episodes: must be >= 1, got {episodes}")
-    seeds_raw = _opt(raw, "seeds", list, "config", [0])
-    if not seeds_raw or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
-                                for s in seeds_raw):
-        raise ConfigError("config.seeds: expected a non-empty list of ints >= 0")
-    if len(set(seeds_raw)) != len(seeds_raw):
-        raise ConfigError("config.seeds: duplicate seeds")
+    seeds = _seeds(_opt(raw, "seeds", list, "config", [0]), "config.seeds")
     eval_runs = _opt(raw, "eval_runs", int, "config", 1)
     eval_episodes = _opt(raw, "eval_episodes", int, "config", 100)
     if eval_runs < 1 or eval_episodes < 1:
@@ -219,7 +228,7 @@ def parse_config(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"config: unknown fields {sorted(unknown)}")
 
-    return RunConfig(raw=raw, env=env, graph=graph, episodes=episodes, seeds=tuple(seeds_raw),
+    return RunConfig(raw=raw, env=env, graph=graph, episodes=episodes, seeds=seeds,
                      eval_runs=eval_runs, eval_episodes=eval_episodes, variants=tuple(variants))
 
 

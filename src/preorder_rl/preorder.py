@@ -9,7 +9,6 @@ which is what makes the structure a preorder rather than a total order.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -22,25 +21,27 @@ ObjectiveId = int
 class PreorderGraph:
     """Validated precedence DAG with cached traversal structure.
 
-    Instances are immutable after construction.  Besides the raw edges,
-    the constructor precomputes the deterministic topological order,
-    per-node parent and child sets, and these read-only forms of that
-    structure, shared by strict-precedence queries and the survivor
-    filter:
+    Instances are immutable after construction.  The constructor turns
+    the edges into one boolean adjacency matrix and derives everything
+    else from it: the deterministic topological order (the lowest-index
+    objective with no unplaced parent goes next), per-node parent and
+    child sets, the leaves, and these read-only forms of that structure,
+    shared by strict-precedence queries, :mod:`~preorder_rl.relations`
+    and the survivor filter:
 
     * ``ancestors[j, i]`` is True when i strictly precedes j (the
       transposed transitive closure);
     * ``ancestors_or_self`` adds the diagonal;
     * ``walk`` pairs each objective, in topological order, with its
-      sorted direct parents.
+      direct parents in ascending order.
 
     Raises:
         IndexError: an edge endpoint is outside ``0..n_objectives-1``.
         CycleError: the edges contain a self-loop or a directed cycle.
     """
 
-    __slots__ = ("n_objectives", "edges", "names", "_parents", "_children", "_order",
-                 "ancestors", "ancestors_or_self", "walk")
+    __slots__ = ("n_objectives", "edges", "names", "_parents", "_children", "_leaves",
+                 "_order", "ancestors", "ancestors_or_self", "walk")
 
     def __init__(
         self,
@@ -52,11 +53,13 @@ class PreorderGraph:
         if n < 1:
             raise ValueError(f"need at least one objective, got {n}")
         edge_set = frozenset((int(h), int(l)) for h, l in edges)
+        adjacency = np.zeros((n, n), dtype=bool)
         for high, low in edge_set:
             if not (0 <= high < n) or not (0 <= low < n):
                 raise IndexError(f"edge ({high}, {low}) references an objective outside 0..{n - 1}")
             if high == low:
                 raise CycleError(f"self-loop on objective {high}")
+            adjacency[high, low] = True
         if names is None:
             names = tuple(f"obj{i}" for i in range(n))
         else:
@@ -64,53 +67,33 @@ class PreorderGraph:
             if len(names) != n:
                 raise ValueError(f"expected {n} names, got {len(names)}")
 
-        parents: list[set[int]] = [set() for _ in range(n)]
-        children: list[set[int]] = [set() for _ in range(n)]
-        for high, low in edge_set:
-            parents[low].add(high)
-            children[high].add(low)
+        rows = adjacency.tolist()
+        parents = tuple(frozenset(i for i in range(n) if rows[i][j]) for j in range(n))
+        order: list[int] = []
+        while len(order) < n:
+            ready = [j for j in range(n) if j not in order and parents[j].issubset(order)]
+            if not ready:
+                stuck = [j for j in range(n) if j not in order]
+                raise CycleError(f"precedence edges contain a cycle through objectives {stuck}")
+            order.append(ready[0])
+        # In reverse topological order every child's reach row is final
+        # before its parents OR it in.
+        reach = adjacency.copy()
+        for node in reversed(order):
+            reach[node] |= reach[adjacency[node]].any(axis=0)
 
         self.n_objectives = n
         self.edges = edge_set
         self.names = names
-        self._parents = tuple(frozenset(p) for p in parents)
-        self._children = tuple(frozenset(c) for c in children)
-        self._order = self._kahn_order()
-        self.ancestors = np.ascontiguousarray(self._transitive_closure().T)
+        self._parents = parents
+        self._children = tuple(frozenset(j for j in range(n) if rows[i][j]) for i in range(n))
+        self._leaves = frozenset(i for i in range(n) if not any(rows[i]))
+        self._order = tuple(order)
+        self.ancestors = np.ascontiguousarray(reach.T)
         self.ancestors_or_self = self.ancestors | np.eye(n, dtype=bool)
         for structure in (self.ancestors, self.ancestors_or_self):
             structure.setflags(write=False)
-        self.walk = tuple((obj, tuple(sorted(self._parents[obj]))) for obj in self._order)
-
-    def _kahn_order(self) -> tuple[int, ...]:
-        # Lowest ready index first, so the order is deterministic.
-        indegree = [len(self._parents[i]) for i in range(self.n_objectives)]
-        ready = [i for i, d in enumerate(indegree) if d == 0]
-        heapq.heapify(ready)
-        order: list[int] = []
-        while ready:
-            node = heapq.heappop(ready)
-            order.append(node)
-            for child in sorted(self._children[node]):
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    heapq.heappush(ready, child)
-        if len(order) != self.n_objectives:
-            stuck = sorted(set(range(self.n_objectives)) - set(order))
-            raise CycleError(f"precedence edges contain a cycle through objectives {stuck}")
-        return tuple(order)
-
-    def _transitive_closure(self) -> np.ndarray:
-        reach = np.zeros((self.n_objectives, self.n_objectives), dtype=bool)
-        for high, low in self.edges:
-            reach[high, low] = True
-        # Process in reverse topological order so each node's reach set is final
-        # before any of its parents read it.
-        for node in reversed(self._order):
-            for child in self._children[node]:
-                reach[node] |= reach[child]
-                reach[node, child] = True
-        return reach
+        self.walk = tuple((obj, tuple(sorted(self._parents[obj]))) for obj in order)
 
     def topological_sort(self) -> tuple[int, ...]:
         """All objectives, every parent before each of its children."""
@@ -126,7 +109,7 @@ class PreorderGraph:
 
     def leaves(self) -> frozenset[int]:
         """Objectives with no lower-priority successors."""
-        return frozenset(i for i in range(self.n_objectives) if not self._children[i])
+        return self._leaves
 
     def strictly_precedes(self, higher: int, lower: int) -> bool:
         """True when a directed path of length >= 1 runs ``higher`` -> ``lower``."""

@@ -9,7 +9,8 @@ strict improvement either way they are indifferent.
 :func:`oracle_survivors` filters actions with known reward vectors.  It
 walks no graph itself: it turns the rewards into per-objective verdicts
 and runs :func:`~preorder_rl.selection.filter_verdicts`, the walk behind
-:func:`~preorder_rl.selection.select`.
+:func:`~preorder_rl.selection.select`.  Like that walk, both functions
+answer with boolean products with ``graph.ancestors``, not set loops.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ def _as_reward_vector(rewards, n_objectives: int) -> np.ndarray:
     return vec
 
 
+def _incomparable(graph: PreorderGraph, a_better: np.ndarray, b_better: np.ndarray) -> np.ndarray:
+    # Some objective a improves on is incomparable to one b improves on.
+    comparable = graph.ancestors | graph.ancestors.T
+    return ((a_better @ ~comparable) & b_better).any(axis=-1)
+
+
 def relate(graph: PreorderGraph, rewards_a, rewards_b) -> ActionRelation:
     """Classify the relation of action a to action b under ``graph``.
 
@@ -49,30 +56,18 @@ def relate(graph: PreorderGraph, rewards_a, rewards_b) -> ActionRelation:
     """
     ra = _as_reward_vector(rewards_a, graph.n_objectives)
     rb = _as_reward_vector(rewards_b, graph.n_objectives)
-    a_better = np.flatnonzero(ra > rb)
-    b_better = np.flatnonzero(rb > ra)
-    if a_better.size == 0 and b_better.size == 0:
-        return ActionRelation.INDIFFERENT
+    a_better, b_better = ra > rb, rb > ra
     # Opposing improvements on mutually incomparable objectives settle the
     # pair before any dominance witness is considered; otherwise swapping
     # the arguments could flip between dominance and incomparability.
-    for i in a_better:
-        for j in b_better:
-            if not graph.comparable(int(i), int(j)):
-                return ActionRelation.INCOMPARABLE
-    if _has_witness(graph, a_better, b_better):
+    if _incomparable(graph, a_better, b_better):
+        return ActionRelation.INCOMPARABLE
+    # A witness is an improved objective that outranks every one lost on.
+    if (a_better & ~(b_better @ ~graph.ancestors)).any():
         return ActionRelation.DOMINATES
-    if _has_witness(graph, b_better, a_better):
+    if (b_better & ~(a_better @ ~graph.ancestors)).any():
         return ActionRelation.DOMINATED_BY
     return ActionRelation.INDIFFERENT
-
-
-def _has_witness(graph: PreorderGraph, winners: np.ndarray, losers: np.ndarray) -> bool:
-    # Some improved objective strictly outranks every objective lost on.
-    return any(
-        all(graph.strictly_precedes(int(j), int(i)) for i in losers)
-        for j in winners
-    )
 
 
 def oracle_survivors(graph: PreorderGraph, rewards) -> dict[int, frozenset[int]]:
@@ -84,8 +79,9 @@ def oracle_survivors(graph: PreorderGraph, rewards) -> dict[int, frozenset[int]]
     :func:`~preorder_rl.selection.select`, inherits, clears conflicts and
     keeps survivors.  A pair that is incomparable under :func:`relate` is
     a two-way conflict on every objective, so neither side is ever pruned
-    by the other.  The walk's fallback (the best-rewarded inherited
-    survivors) is shared with ``select``; it never fired on random inputs.
+    by the other; one boolean product finds every such pair at once.  The
+    walk's fallback (the best-rewarded inherited survivors) is shared
+    with ``select``; it never fired on random inputs.
 
     Args:
         graph: priority preorder over the objectives.
@@ -96,14 +92,11 @@ def oracle_survivors(graph: PreorderGraph, rewards) -> dict[int, frozenset[int]]
         Mapping from objective index to the frozen set of surviving
         action indices.  Every set is non-empty.
     """
-    vectors = [_as_reward_vector(r, graph.n_objectives) for r in rewards]
-    if not vectors:
+    vectors = np.array([_as_reward_vector(r, graph.n_objectives) for r in rewards])
+    if not len(vectors):
         raise EmptySetError("need at least one action")
-    by_objective = np.array(vectors).T
-    above = by_objective[:, :, None] > by_objective[:, None, :]
-    below = by_objective[:, :, None] < by_objective[:, None, :]
-    for a in range(len(vectors)):
-        for b in range(a + 1, len(vectors)):
-            if relate(graph, vectors[a], vectors[b]) is ActionRelation.INCOMPARABLE:
-                above[:, [a, b], [b, a]] = below[:, [a, b], [b, a]] = True
-    return filter_verdicts(graph, above, below, by_objective).survivors
+    # better[b, a, obj]: action a's reward beats action b's on obj.
+    better = vectors[None, :, :] > vectors[:, None, :]
+    conflict = _incomparable(graph, better, better.transpose(1, 0, 2))
+    above = better.T | conflict
+    return filter_verdicts(graph, above, above.transpose(0, 2, 1), vectors.T).survivors

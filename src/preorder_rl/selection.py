@@ -171,7 +171,7 @@ def global_leaf_survivors(state: SelectionState, graph: PreorderGraph) -> frozen
     """Survivors of the virtual global leaf: the leaf survivor sets
     merged with the same intersection-then-union rule used inside the
     traversal."""
-    return aggregate_survivor_sets([state.survivors[leaf] for leaf in sorted(graph.leaves())])
+    return aggregate_survivor_sets([state.survivors[leaf] for leaf in graph.leaves()])
 
 
 def sample_action(survivors: frozenset[int], rng: np.random.Generator) -> int:

@@ -53,6 +53,37 @@ def ref_topological_order(n: int, edges: set[tuple[int, int]]) -> list[int]:
     return order
 
 
+def ref_strictly_precedes(edges: set[tuple[int, int]], high: int, low: int) -> bool:
+    stack, seen = [high], set()
+    while stack:
+        node = stack.pop()
+        for h, l in edges:
+            if h == node and l not in seen:
+                if l == low:
+                    return True
+                seen.add(l)
+                stack.append(l)
+    return False
+
+
+def ref_relate(n: int, edges: set[tuple[int, int]], ra: list[float], rb: list[float]) -> str:
+    """The ``ActionRelation`` value of action a to action b: opposing
+    improvements on incomparable objectives make the pair incomparable;
+    otherwise a dominates when some objective it improves on strictly
+    precedes every objective b improves on."""
+    a_better = {i for i in range(n) if ra[i] > rb[i]}
+    b_better = {i for i in range(n) if rb[i] > ra[i]}
+    for i in a_better:
+        for j in b_better:
+            if not (ref_strictly_precedes(edges, i, j) or ref_strictly_precedes(edges, j, i)):
+                return "incomparable"
+    if any(all(ref_strictly_precedes(edges, j, i) for i in b_better) for j in a_better):
+        return "dominates"
+    if any(all(ref_strictly_precedes(edges, j, i) for i in a_better) for j in b_better):
+        return "dominated_by"
+    return "indifferent"
+
+
 def ref_aggregate(sets: list[set[int]]) -> set[int]:
     merged = set.intersection(*sets)
     return merged if merged else set.union(*sets)

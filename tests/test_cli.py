@@ -89,6 +89,24 @@ def test_train_seed_override(tmp_path) -> None:
     assert not (run / "pr" / "0").exists()
 
 
+@pytest.mark.parametrize("seeds", ["0,0", "-1"])
+def test_bad_seed_override_exits_2_before_anything_is_written(tmp_path, capsys, seeds) -> None:
+    # --seeds follows the config.seeds rule: unique ints >= 0.
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["train", "--config", str(config), "--out", str(out),
+                 f"--seeds={seeds}"]) == EXIT_CONFIG
+    assert "--seeds: " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    trained = sorted(out.rglob("*"))
+    assert main(["evaluate", "--config", str(config), "--out", str(out),
+                 f"--seeds={seeds}"]) == EXIT_CONFIG
+    assert "--seeds: " in capsys.readouterr().err
+    assert sorted(out.rglob("*")) == trained
+
+
 def test_select_filters_quantile_files(tmp_path, capsys) -> None:
     graph_file = tmp_path / "preorder.json"
     graph_file.write_text(json.dumps({"n_objectives": 2, "edges": [[0, 1]]}))
@@ -196,6 +214,29 @@ def test_non_numeric_cell_exits_4_naming_file_and_line(tmp_path, capsys) -> None
     scores.write_text("algorithm,seed,run,score\na,0,0,x\n")
     assert main(["stats", "--scores", str(scores), "--out", str(tmp_path / "out")]) == EXIT_SHAPE
     assert f"{scores}, line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("text", "exit_code", "message"), [
+    ("tau,a0,a1\n0.5,nan,1.0\n", EXIT_CONFIG, "quantile values must be finite"),
+    ("tau,a0,a1\n0.75,0.0,1.0\n0.25,1.0,0.0\n", EXIT_CONFIG,
+     "fractions must be strictly increasing"),
+    ("tau\n0.5\n", EXIT_SHAPE, "expected a (quantiles, actions) matrix")])
+def test_bad_quantile_matrix_names_the_file(tmp_path, capsys, text, exit_code, message) -> None:
+    graph_file = tmp_path / "preorder.json"
+    graph_file.write_text(json.dumps({"n_objectives": 1}))
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text(text)
+    code = main(["select", str(matrix), "--preorder", str(graph_file),
+                 "--out", str(tmp_path / "out")])
+    assert code == exit_code
+    assert f"{matrix}: {message}" in capsys.readouterr().err
+
+
+def test_non_finite_score_exits_2_naming_file_and_line(tmp_path, capsys) -> None:
+    scores = tmp_path / "scores.csv"
+    scores.write_text("algorithm,seed,run,score\na,0,0,1.0\na,0,1,nan\n")
+    assert main(["stats", "--scores", str(scores), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"{scores}, line 3: scores must be finite" in capsys.readouterr().err
 
 
 def test_overflowing_quantile_spread_exits_2(tmp_path, capsys) -> None:

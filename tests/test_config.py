@@ -192,6 +192,22 @@ def test_variant_errors_name_the_offending_entry() -> None:
                                         "weights": [1.0]}]))
 
 
+@pytest.mark.parametrize(("learner", "message"), [
+    ({"learning_rate": -1}, "learning_rate must be positive, got -1.0"),
+    ({"quantile_count": 0}, "quantile_count must be >= 1, got 0"),
+    ({"gammas": 1.5}, "gammas must lie in [0, 1), got (1.5, 1.5)"),
+    ({"huber_kappa": -0.5}, "huber_kappa must be >= 0, got -0.5"),
+    ({"initial_value": float("nan")}, "initial_value must be finite, got nan"),
+    ({"learning_rate_end": 0.5}, "learning_rate_end must lie in (0, learning_rate], got 0.5"),
+    ({"epsilon_start": 0.01, "epsilon_end": 0.5}, "need 0 <= end <= start <= 1"),
+    ({"epsilon_decay_episodes": 0}, "decay_episodes must be >= 1, got 0")])
+def test_shared_learner_values_are_blamed_on_the_learner_block(learner, message) -> None:
+    raw = minimal(learner=learner,
+                  variants=[{"label": "a"}, {"label": "b", "mode": "mean-aggregation"}])
+    with pytest.raises(ConfigError, match="^learner: " + re.escape(message)):
+        parse_config(raw)
+
+
 @pytest.mark.parametrize(("entry", "kind"), [("0.9", "str"), (False, "bool"), (None, "NoneType")])
 def test_gamma_list_entries_must_be_numbers(entry, kind) -> None:
     raw = minimal(learner={"gammas": [0.9, entry]})

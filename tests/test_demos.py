@@ -1,4 +1,5 @@
-"""Every quick demo and every README example runs against the current package.
+"""Every quick demo and every README example runs against the current package,
+and the README module table lists every module.
 
 ``demos/05_crossing_the_grid.py`` trains on the crossing grid for about
 20 s and is left out.
@@ -65,3 +66,11 @@ def test_readme_examples_match_the_package() -> None:
         argv = shlex.split(re.sub(r"[\[\]]", "", line))[1:]
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+
+
+def test_readme_module_table_lists_every_module() -> None:
+    text = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` +\|", text, re.M)
+    modules = {path.stem for path in (ROOT / "src" / "preorder_rl").glob("*.py")}
+    assert len(rows) == len(set(rows))
+    assert set(rows) == modules - {"__init__", "__main__"}

@@ -9,6 +9,8 @@ import pytest
 from preorder_rl.errors import CycleError
 from preorder_rl.preorder import PreorderGraph, build_graph
 
+from ._reference import ref_topological_order
+
 
 def test_chain_topological_order_and_queries() -> None:
     graph = build_graph(3, [(0, 1), (1, 2)])
@@ -115,6 +117,20 @@ def test_random_dags_respect_topological_contract() -> None:
             assert not graph.strictly_precedes(low, high)
         for leaf in graph.leaves():
             assert not graph.children(leaf)
+
+
+def test_topological_sort_matches_the_reference_on_permuted_dags() -> None:
+    # The reference places the lowest-index objective whose parents are
+    # all placed; ids are ranked randomly so index order is not an order.
+    rng = random.Random(808)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        rank = rng.sample(range(n), n)
+        edges = {(a, b) if rank[a] < rank[b] else (b, a)
+                 for a, b in (rng.sample(range(n), 2) for _ in range(rng.randint(0, 2 * n)))
+                 } if n > 1 else set()
+        graph = build_graph(n, edges)
+        assert graph.topological_sort() == tuple(ref_topological_order(n, edges))
 
 
 def test_transitive_closure_matches_path_search() -> None:

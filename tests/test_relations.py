@@ -11,7 +11,9 @@ from preorder_rl.comparators import ComparatorConfig, QuantileMatrix
 from preorder_rl.errors import EmptySetError, LengthMismatch
 from preorder_rl.preorder import build_graph
 from preorder_rl.relations import ActionRelation, oracle_survivors, relate
-from preorder_rl.selection import select
+from preorder_rl.selection import filter_verdicts, select
+
+from ._reference import ref_relate
 
 CHAIN2 = build_graph(2, [(0, 1)])
 
@@ -141,6 +143,41 @@ def test_oracle_survivor_sets_never_empty_on_random_inputs() -> None:
         for kept in survivors.values():
             assert kept
             assert kept <= set(range(actions))
+
+
+# Ties across signed zeros and rounding, plus the infinities, which stay ordered.
+TIE_HEAVY = (0.0, -0.0, 0.1 + 0.2, 0.3, 1.0, float("inf"), float("-inf"), 1e308)
+
+
+def test_relate_matches_the_set_based_reference() -> None:
+    rng = random.Random(515)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        graph = _permuted_dag(rng, n)
+        for _ in range(4):
+            ra, rb = ([rng.choice(TIE_HEAVY) for _ in range(n)] for _ in range(2))
+            assert relate(graph, ra, rb).value == ref_relate(n, graph.edges, ra, rb)
+
+
+def test_oracle_matches_the_walk_on_pairwise_reference_verdicts() -> None:
+    # Each objective's own verdict is the strict reward comparison, and a
+    # pair the reference calls incomparable is a two-way conflict everywhere.
+    rng = random.Random(616)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        graph = _permuted_dag(rng, n)
+        actions = rng.randint(1, 6)
+        rewards = [[rng.choice(TIE_HEAVY) for _ in range(n)] for _ in range(actions)]
+        above = np.zeros((n, actions, actions), dtype=bool)
+        below = np.zeros_like(above)
+        for a in range(actions):
+            for b in range(actions):
+                tied = ref_relate(n, graph.edges, rewards[a], rewards[b]) == "incomparable"
+                for obj in range(n):
+                    above[obj, a, b] = tied or rewards[a][obj] > rewards[b][obj]
+                    below[obj, a, b] = tied or rewards[a][obj] < rewards[b][obj]
+        expected = filter_verdicts(graph, above, below, np.array(rewards).T).survivors
+        assert oracle_survivors(graph, rewards) == expected
 
 
 @pytest.mark.parametrize("kind", ["qd", "cvar", "mv"])
