@@ -10,13 +10,11 @@ shape disagreements.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from .artifacts import load_quantile_csv
 from .comparators import ComparatorConfig
-from .config import _parse_preorder, _seeds, load_config
+from .config import _seeds, load_config, load_preorder
 from .errors import ConfigError, LengthMismatch, MissingArtifact, ShapeMismatch
 from .runner import run_compare, run_evaluate, run_select, run_stats, run_train
 
@@ -74,25 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_preorder_file(path):
-    file = Path(path)
-    if not file.exists():
-        raise ConfigError(f"preorder file not found: {file}")
-    try:
-        raw = json.loads(file.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{file}: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{file}: expected an object")
-    return _parse_preorder(raw, "preorder")
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "train":
         config = load_config(args.config)
         seeds = _parse_seeds(args.seeds) if args.seeds else None
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
         base = run_train(config, args.out, seeds=seeds, jobs=args.jobs)
         print(f"trained {len(config.variants)} variant(s) into {base}")
     elif args.command == "evaluate":
@@ -105,7 +88,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         path = run_compare(config, args.out)
         print(f"wrote {path}")
     elif args.command == "select":
-        graph = _load_preorder_file(args.preorder)
+        graph = load_preorder(args.preorder)
         comparator = ComparatorConfig(args.kind, args.epsilon, args.cvar_alpha, args.mv_lambda)
         matrices = [load_quantile_csv(path) for path in args.matrices]
         path = run_select(graph, matrices, comparator, args.out)

@@ -6,6 +6,11 @@ side.  Each variant carries the one validated :class:`LearnerConfig` it
 trains and evaluates with: the shared settings plus its own mode,
 comparator, bootstrap filter and weights.  Output directories are keyed
 by a short hash of the canonical JSON so different configs never collide.
+
+The schema is the field tables ``_TOP``, ``_ENV``, ``_PREORDER``,
+``_LEARNER``, ``_VARIANT`` and ``_COMPARATOR``, one per JSON block.
+:func:`_fields` reads every block, and the ``select --preorder`` file,
+against its table, so each rejects fields its table does not name.
 """
 
 from __future__ import annotations
@@ -22,6 +27,25 @@ from .learner import MODES, PREORDER, WEIGHTED_SUM, EpsilonSchedule, LearnerConf
 from .preorder import PreorderGraph, build_graph
 
 SCHEMA_VERSION = 1
+_REQUIRED = object()
+
+# {field: (type, default or _REQUIRED)}; type None: the block's parser checks it.
+_TOP = {"schema_version": (int, _REQUIRED), "env": (dict, _REQUIRED),
+        "preorder": (dict, _REQUIRED), "learner": (dict, {}), "episodes": (int, _REQUIRED),
+        "seeds": (list, [0]), "eval_runs": (int, 1), "eval_episodes": (int, 100),
+        "variants": (list, _REQUIRED)}
+_ENV = {"name": (str, _REQUIRED), "episode_cap": (int, 100), "params": (dict, {})}
+_PREORDER = {"n_objectives": (int, _REQUIRED), "edges": (list, [])}
+_LEARNER = {"gammas": (None, 0.95), "learning_rate": (float, 0.1),
+            "learning_rate_end": (float, None), "quantile_count": (int, 8),
+            "epsilon_start": (float, 1.0), "epsilon_end": (float, 0.05),
+            "epsilon_decay_episodes": (int, 1), "huber_kappa": (float, 0.0),
+            "initial_value": (float, 0.0)}
+_VARIANT = {"label": (str, _REQUIRED), "mode": (str, PREORDER), "comparator": (dict, {}),
+            "training_preorder": (bool, True), "weights": (list, None),
+            "preorder": (dict, None)}
+_COMPARATOR = {"kind": (str, "qd"), "epsilon": (float, 0.0), "cvar_alpha": (float, 0.25),
+               "mv_lambda": (float, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -54,21 +78,31 @@ def _typed(value, kind, name: str):
     return value
 
 
-def _get(raw: dict, field: str, kind, where: str):
-    if field not in raw:
-        raise ConfigError(f"{where}.{field}: missing")
-    return _typed(raw[field], kind, f"{where}.{field}")
+def _fields(raw, where: str, spec: dict) -> dict:
+    """Read the JSON object ``raw`` against its field table ``spec``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(raw).__name__}")
+    unknown = set(raw) - set(spec)
+    if unknown:
+        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
+    values = {}
+    for field, (kind, default) in spec.items():
+        if field in raw:
+            value = raw[field]
+            values[field] = value if kind is None else _typed(value, kind, f"{where}.{field}")
+        elif default is _REQUIRED:
+            raise ConfigError(f"{where}.{field}: missing")
+        else:
+            values[field] = default
+    return values
 
 
 def _floats(values: list, name: str) -> tuple[float, ...]:
     return tuple(_typed(v, float, f"{name}[{i}]") for i, v in enumerate(values))
 
 
-def _opt(raw: dict, field: str, kind, where: str, default):
-    return _get(raw, field, kind, where) if field in raw else default
-
-
-def _seeds(values: list, name: str) -> tuple[int, ...]:
+def _seeds(values, name: str) -> tuple[int, ...]:
+    values = list(values)
     if not values or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
                              for s in values):
         raise ConfigError(f"{name}: expected a non-empty list of ints >= 0")
@@ -78,12 +112,9 @@ def _seeds(values: list, name: str) -> tuple[int, ...]:
 
 
 def _parse_env(raw: dict) -> EnvSpec:
-    env = _get(raw, "env", dict, "config")
-    name = _get(env, "name", str, "env")
-    cap = _opt(env, "episode_cap", int, "env", 100)
-    params = _opt(env, "params", dict, "env", {})
+    fields = _fields(raw, "env", _ENV)
     try:
-        spec = EnvSpec(name, cap, params)
+        spec = EnvSpec(**fields)
         make_env(spec)
     except ConfigError as exc:
         raise ConfigError(f"env: {exc}") from exc
@@ -92,61 +123,75 @@ def _parse_env(raw: dict) -> EnvSpec:
     return spec
 
 
-def _parse_preorder(raw: dict, where: str) -> PreorderGraph:
-    n = _get(raw, "n_objectives", int, where)
-    edges = _opt(raw, "edges", list, where, [])
+def _parse_preorder(raw, where: str) -> PreorderGraph:
+    fields = _fields(raw, where, _PREORDER)
+    edges = fields["edges"]
     for i, edge in enumerate(edges):
         if not (isinstance(edge, list) and len(edge) == 2
                 and all(isinstance(v, int) and not isinstance(v, bool) for v in edge)):
             raise ConfigError(f"{where}.edges[{i}]: expected a [higher, lower] pair of ints")
     try:
-        return build_graph(n, [(e[0], e[1]) for e in edges])
+        return build_graph(fields["n_objectives"], [(e[0], e[1]) for e in edges])
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_comparator(raw: dict, where: str) -> ComparatorConfig:
-    kind = _opt(raw, "kind", str, where, "qd")
-    epsilon = _opt(raw, "epsilon", float, where, 0.0)
-    alpha = _opt(raw, "cvar_alpha", float, where, 0.25)
-    lam = _opt(raw, "mv_lambda", float, where, 1.0)
-    unknown = set(raw) - {"kind", "epsilon", "cvar_alpha", "mv_lambda"}
-    if unknown:
-        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
+    fields = _fields(raw, where, _COMPARATOR)
     try:
-        return ComparatorConfig(kind, epsilon, alpha, lam)
+        return ComparatorConfig(**fields)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_variant(raw: dict, index: int, base: PreorderGraph, shared: dict) -> Variant:
+def _parse_learner(raw: dict, n_objectives: int) -> dict:
+    """The learner settings every variant shares, as ``LearnerConfig`` keywords."""
+    shared = _fields(raw, "learner", _LEARNER)
+    gammas = shared["gammas"]
+    if isinstance(gammas, (int, float)) and not isinstance(gammas, bool):
+        shared["gammas"] = tuple(float(gammas) for _ in range(n_objectives))
+    elif isinstance(gammas, list):
+        shared["gammas"] = _floats(gammas, "learner.gammas")
+        if len(gammas) != n_objectives:
+            raise ConfigError(f"learner.gammas: expected {n_objectives} values, "
+                              f"got {len(gammas)}")
+    else:
+        raise ConfigError("learner.gammas: expected a number or a list of numbers")
+    # The shared values are checked once here, so an out-of-range one is
+    # blamed on the learner block rather than on the first variant.
+    try:
+        shared["epsilon"] = EpsilonSchedule(shared.pop("epsilon_start"),
+                                            shared.pop("epsilon_end"),
+                                            shared.pop("epsilon_decay_episodes"))
+        LearnerConfig(n_objectives=n_objectives, **shared)
+    except ConfigError as exc:
+        raise ConfigError(f"learner: {exc}") from exc
+    return shared
+
+
+def _parse_variant(raw, index: int, base: PreorderGraph, shared: dict) -> Variant:
     where = f"variants[{index}]"
-    label = _get(raw, "label", str, where)
+    fields = _fields(raw, where, _VARIANT)
+    label, mode = fields["label"], fields["mode"]
     if not label or any(ch in label for ch in "/\\ "):
         raise ConfigError(f"{where}.label: must be non-empty, without spaces or slashes")
-    mode = _opt(raw, "mode", str, where, PREORDER)
     if mode not in MODES:
         raise ConfigError(f"{where}.mode: {mode!r} not one of {MODES}")
-    comparator = _parse_comparator(_opt(raw, "comparator", dict, where, {}),
-                                   f"{where}.comparator")
-    training = _opt(raw, "training_preorder", bool, where, True)
-    weights = None
-    if "weights" in raw:
-        weights = _floats(_get(raw, "weights", list, where), f"{where}.weights")
-    if mode == WEIGHTED_SUM and weights is None:
+    comparator = _parse_comparator(fields["comparator"], f"{where}.comparator")
+    weights = fields["weights"]
+    if weights is not None:
+        weights = _floats(weights, f"{where}.weights")
+    elif mode == WEIGHTED_SUM:
         raise ConfigError(f"{where}.weights: required by weighted-sum mode")
     graph = base
-    if "preorder" in raw:
-        graph = _parse_preorder(_get(raw, "preorder", dict, where), f"{where}.preorder")
+    if fields["preorder"] is not None:
+        graph = _parse_preorder(fields["preorder"], f"{where}.preorder")
         if graph.n_objectives != base.n_objectives:
             raise ConfigError(f"{where}.preorder.n_objectives: must match the base preorder")
-    unknown = set(raw) - {"label", "mode", "comparator", "training_preorder", "weights", "preorder"}
-    if unknown:
-        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
     try:
         learner = LearnerConfig(n_objectives=base.n_objectives, comparator=comparator,
-                                training_preorder=training, mode=mode, weights=weights,
-                                **shared)
+                                training_preorder=fields["training_preorder"], mode=mode,
+                                weights=weights, **shared)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return Variant(label, learner, graph)
@@ -157,91 +202,51 @@ def parse_config(raw: dict) -> RunConfig:
 
     Raises :class:`ConfigError` naming the offending field.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config: expected an object, got {type(raw).__name__}")
-    version = _get(raw, "schema_version", int, "config")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"config.schema_version: expected {SCHEMA_VERSION}, got {version}")
-    env = _parse_env(raw)
-    graph = _parse_preorder(_get(raw, "preorder", dict, "config"), "preorder")
+    top = _fields(raw, "config", _TOP)
+    if top["schema_version"] != SCHEMA_VERSION:
+        raise ConfigError(f"config.schema_version: expected {SCHEMA_VERSION}, "
+                          f"got {top['schema_version']}")
+    env = _parse_env(top["env"])
+    graph = _parse_preorder(top["preorder"], "preorder")
+    shared = _parse_learner(top["learner"], graph.n_objectives)
 
-    learner = _opt(raw, "learner", dict, "config", {})
-    gammas_raw = learner.get("gammas", 0.95)
-    if isinstance(gammas_raw, (int, float)) and not isinstance(gammas_raw, bool):
-        gammas = tuple(float(gammas_raw) for _ in range(graph.n_objectives))
-    elif isinstance(gammas_raw, list):
-        gammas = _floats(gammas_raw, "learner.gammas")
-        if len(gammas) != graph.n_objectives:
-            raise ConfigError(f"learner.gammas: expected {graph.n_objectives} values, "
-                              f"got {len(gammas)}")
-    else:
-        raise ConfigError("learner.gammas: expected a number or a list of numbers")
-    known = {"gammas", "learning_rate", "learning_rate_end", "quantile_count",
-             "epsilon_start", "epsilon_end", "epsilon_decay_episodes", "huber_kappa",
-             "initial_value"}
-    unknown = set(learner) - known
-    if unknown:
-        raise ConfigError(f"learner: unknown fields {sorted(unknown)}")
-    schedule = (_opt(learner, "epsilon_start", float, "learner", 1.0),
-                _opt(learner, "epsilon_end", float, "learner", 0.05),
-                _opt(learner, "epsilon_decay_episodes", int, "learner", 1))
-    shared = dict(
-        gammas=gammas,
-        learning_rate=_opt(learner, "learning_rate", float, "learner", 0.1),
-        learning_rate_end=_opt(learner, "learning_rate_end", float, "learner", None),
-        quantile_count=_opt(learner, "quantile_count", int, "learner", 8),
-        huber_kappa=_opt(learner, "huber_kappa", float, "learner", 0.0),
-        initial_value=_opt(learner, "initial_value", float, "learner", 0.0),
-    )
-    # The shared values are checked once here, so an out-of-range one is
-    # blamed on the learner block rather than on the first variant.
-    try:
-        shared["epsilon"] = EpsilonSchedule(*schedule)
-        LearnerConfig(n_objectives=graph.n_objectives, **shared)
-    except ConfigError as exc:
-        raise ConfigError(f"learner: {exc}") from exc
-
-    episodes = _get(raw, "episodes", int, "config")
-    if episodes < 1:
-        raise ConfigError(f"config.episodes: must be >= 1, got {episodes}")
-    seeds = _seeds(_opt(raw, "seeds", list, "config", [0]), "config.seeds")
-    eval_runs = _opt(raw, "eval_runs", int, "config", 1)
-    eval_episodes = _opt(raw, "eval_episodes", int, "config", 100)
-    if eval_runs < 1 or eval_episodes < 1:
+    if top["episodes"] < 1:
+        raise ConfigError(f"config.episodes: must be >= 1, got {top['episodes']}")
+    seeds = _seeds(top["seeds"], "config.seeds")
+    if top["eval_runs"] < 1 or top["eval_episodes"] < 1:
         raise ConfigError("config.eval_runs and config.eval_episodes must be >= 1")
 
-    variants_raw = _get(raw, "variants", list, "config")
-    if not variants_raw:
+    if not top["variants"]:
         raise ConfigError("config.variants: must list at least one variant")
-    variants = []
-    for i, v in enumerate(variants_raw):
-        if not isinstance(v, dict):
-            raise ConfigError(f"variants[{i}]: expected an object")
-        variants.append(_parse_variant(v, i, graph, shared))
+    variants = tuple(_parse_variant(v, i, graph, shared) for i, v in enumerate(top["variants"]))
     labels = [v.label for v in variants]
     if len(set(labels)) != len(labels):
         raise ConfigError("config.variants: duplicate labels")
 
-    known_top = {"schema_version", "env", "preorder", "learner", "episodes", "seeds",
-                 "eval_runs", "eval_episodes", "variants"}
-    unknown = set(raw) - known_top
-    if unknown:
-        raise ConfigError(f"config: unknown fields {sorted(unknown)}")
+    return RunConfig(raw=raw, env=env, graph=graph, episodes=top["episodes"], seeds=seeds,
+                     eval_runs=top["eval_runs"], eval_episodes=top["eval_episodes"],
+                     variants=variants)
 
-    return RunConfig(raw=raw, env=env, graph=graph, episodes=episodes, seeds=seeds,
-                     eval_runs=eval_runs, eval_episodes=eval_episodes, variants=tuple(variants))
+
+def _read_json(path, what: str):
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"{what} file not found: {path}")
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def load_config(path) -> RunConfig:
     """Read and validate a JSON run config from disk."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_config(raw)
+    return parse_config(_read_json(path, "config"))
+
+
+def load_preorder(path) -> PreorderGraph:
+    """Read and validate a JSON preorder file, checked like a config's
+    ``preorder`` block: ``{"n_objectives": N, "edges": [[higher, lower], ...]}``."""
+    return _parse_preorder(_read_json(path, "preorder"), "preorder")
 
 
 def config_hash(raw: dict) -> str:

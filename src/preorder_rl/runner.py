@@ -18,9 +18,9 @@ from . import stats as stats_mod
 from .artifacts import (SCORE_HEADER, load_scores, load_tensor, parse_rows, read_rows,
                         save_episode_log, save_tensor, write_rows)
 from .comparators import ComparatorConfig, QuantileMatrix
-from .config import RunConfig, Variant, config_hash, parse_config
+from .config import RunConfig, Variant, _seeds, config_hash, parse_config
 from .envs import make_env
-from .errors import ShapeMismatch
+from .errors import ConfigError, ShapeMismatch
 from .learner import _check_env, evaluate, train
 from .plots import interval_plot_svg
 from .preorder import PreorderGraph
@@ -57,8 +57,13 @@ def _train_job(raw: dict, label: str, seed: int, out_dir: str) -> str:
 
 
 def run_train(config: RunConfig, out_dir, seeds=None, jobs: int = 1) -> Path:
-    """Train every variant for every seed; returns the run directory."""
-    seeds = tuple(seeds) if seeds is not None else config.seeds
+    """Train every variant for every seed; returns the run directory.
+
+    ``seeds`` and ``jobs`` are checked before anything is written.
+    """
+    seeds = config.seeds if seeds is None else _seeds(seeds, "seeds")
+    if jobs < 1:
+        raise ConfigError(f"jobs: must be >= 1, got {jobs}")
     env = make_env(config.env)
     for variant in config.variants:
         _check_env(env, variant.learner, variant.graph)
@@ -92,7 +97,7 @@ def run_evaluate(config: RunConfig, out_dir, seeds=None) -> Path:
     :class:`MissingArtifact` when a tensor is missing and
     :class:`ShapeMismatch` when its shape disagrees with the config.
     """
-    seeds = tuple(seeds) if seeds is not None else config.seeds
+    seeds = config.seeds if seeds is None else _seeds(seeds, "seeds")
     base = run_dir(config, out_dir)
     n = config.graph.n_objectives
     eval_rows: list[list] = []

@@ -156,6 +156,41 @@ def test_config_problems_exit_2(tmp_path, capsys) -> None:
                  "--seeds", ","]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(("block", "where"), [
+    ((), "config"),
+    (("env",), "env"),
+    (("preorder",), "preorder"),
+    (("learner",), "learner"),
+    (("variants", 0), "variants[0]"),
+    (("variants", 0, "comparator"), "variants[0].comparator"),
+    (("variants", 0, "preorder"), "variants[0].preorder"),
+    (None, "preorder")], ids=["config", "env", "preorder", "learner", "variant", "comparator",
+                              "variant-preorder", "select-preorder-file"])
+def test_unknown_fields_exit_2_naming_the_block(tmp_path, capsys, block, where) -> None:
+    # A misspelt "edges" must not pass as a preorder with no edges.
+    out = str(tmp_path / "out")
+    if block is None:
+        graph_file = tmp_path / "preorder.json"
+        graph_file.write_text(json.dumps({"n_objectives": 2, "edge": [[0, 1]]}))
+        matrix = tmp_path / "objective.csv"
+        save_quantile_csv(QuantileMatrix.from_values(np.array([[1.0, 0.0]])), matrix)
+        argv = ["select", str(matrix), str(matrix), "--preorder", str(graph_file), "--out", out]
+    else:
+        variant = {"label": "pr", "comparator": {"kind": "qd"},
+                   "preorder": {"n_objectives": 2, "edges": [[0, 1]]}}
+        config = write_config(tmp_path, variants=[variant])
+        raw = json.loads(config.read_text())
+        target = raw
+        for key in block:
+            target = target[key]
+        target["edge"] = [[0, 1]]
+        config.write_text(json.dumps(raw))
+        argv = ["train", "--config", str(config), "--out", out]
+    assert main(argv) == EXIT_CONFIG
+    assert f"config error: {where}: unknown fields ['edge']" in capsys.readouterr().err
+    assert not Path(out).exists()
+
+
 def test_missing_artifacts_exit_3(tmp_path, capsys) -> None:
     config = write_config(tmp_path)
     out = str(tmp_path / "out")

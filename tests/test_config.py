@@ -151,6 +151,9 @@ def test_errors_name_the_offending_field() -> None:
         parse_config(minimal(learner={"gammas": [0.9, 0.9, 0.9]}))
     with pytest.raises(ConfigError, match="learner: unknown fields"):
         parse_config(minimal(learner={"momentum": 0.9}))
+    with pytest.raises(ConfigError,
+                       match="learner.gammas: expected a number or a list of numbers"):
+        parse_config(minimal(learner={"gammas": True}))
     with pytest.raises(ConfigError, match="config.episodes: must be >= 1"):
         parse_config(minimal(episodes=0))
     with pytest.raises(ConfigError, match="config.seeds"):

@@ -18,7 +18,7 @@ from preorder_rl import learner
 from preorder_rl.artifacts import load_scores
 from preorder_rl.comparators import ComparatorConfig, QuantileMatrix
 from preorder_rl.config import config_hash, parse_config
-from preorder_rl.errors import MissingArtifact, ShapeMismatch
+from preorder_rl.errors import ConfigError, MissingArtifact, ShapeMismatch
 from preorder_rl.preorder import build_graph
 from preorder_rl.runner import (
     artifact_dir,
@@ -174,6 +174,30 @@ def test_train_accepts_seed_subset(tmp_path) -> None:
     base = run_train(config, tmp_path, seeds=[7])
     assert (base / "pr" / "7" / "tensor.csv").is_file()
     assert not (base / "pr" / "0").exists()
+
+
+@pytest.mark.parametrize(("kwargs", "message"), [
+    ({"seeds": (-1,)}, "seeds: expected a non-empty list of ints >= 0"),
+    ({"seeds": (0, 0)}, "seeds: duplicate seeds"),
+    ({"seeds": ()}, "seeds: expected a non-empty list of ints >= 0"),
+    ({"jobs": 0}, "jobs: must be >= 1, got 0")],
+    ids=["negative-seed", "duplicate-seeds", "no-seeds", "zero-jobs"])
+def test_train_rejects_bad_seeds_and_jobs_before_writing(tmp_path, kwargs, message) -> None:
+    # Library callers get the rules the config and the CLI apply.
+    config = parse_config(bandit_raw())
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        run_train(config, tmp_path, **kwargs)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_evaluate_rejects_duplicate_seeds_before_writing(tmp_path) -> None:
+    config = parse_config(bandit_raw())
+    base = run_train(config, tmp_path)
+    trained = sorted(tmp_path.rglob("*"))
+    with pytest.raises(ConfigError, match="^seeds: duplicate seeds"):
+        run_evaluate(config, tmp_path, seeds=(0, 0))
+    assert sorted(tmp_path.rglob("*")) == trained
+    assert not (base / "evaluate.csv").exists()
 
 
 def test_parallel_training_matches_serial(tmp_path) -> None:
