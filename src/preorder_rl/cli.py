@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .artifacts import load_quantile_csv
-from .comparators import ComparatorConfig
+from .comparators import COMPARATOR_KINDS, QUANTILE_DOMINANCE, ComparatorConfig
 from .config import _seeds, load_config, load_preorder
 from .errors import ConfigError, LengthMismatch, MissingArtifact, ShapeMismatch
 from .runner import run_compare, run_evaluate, run_select, run_stats, run_train
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--preorder", required=True,
                      help='JSON file: {"n_objectives": N, "edges": [[higher, lower], ...]}')
     sel.add_argument("--out", required=True)
-    sel.add_argument("--kind", default="qd", choices=["qd", "cvar", "mv"])
+    sel.add_argument("--kind", default=QUANTILE_DOMINANCE, choices=COMPARATOR_KINDS)
     sel.add_argument("--epsilon", type=float, default=0.0)
     sel.add_argument("--cvar-alpha", type=float, default=0.25)
     sel.add_argument("--mv-lambda", type=float, default=1.0)

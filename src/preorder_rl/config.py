@@ -5,7 +5,8 @@ learner settings, and a list of algorithm variants to train side by
 side.  Each variant carries the one validated :class:`LearnerConfig` it
 trains and evaluates with: the shared settings plus its own mode,
 comparator, bootstrap filter and weights.  Output directories are keyed
-by a short hash of the canonical JSON so different configs never collide.
+by a short hash of the canonical JSON of the training fields, so configs
+that train differently never collide.
 
 The schema is the field tables ``_TOP``, ``_ENV``, ``_PREORDER``,
 ``_LEARNER``, ``_VARIANT`` and ``_COMPARATOR``, one per JSON block.

@@ -8,6 +8,13 @@ Three small worlds exercise the priority machinery:
 * ``crossing-grid``: cross rows of moving traffic under a five-way
   objective hierarchy (safety, risk, lane keeping, progress, comfort).
 
+Each environment declares its parameters once, in a ``PARAMS`` table of
+defaults, and a param is typed by its default: an int param takes any
+integer, a float param any finite real number, a str param a string,
+and a bool is never a number.  A mistyped param raises ``TypeError``
+naming it, which a run config reports as an ``env.params`` error (exit
+code 2 from the CLI).
+
 Environments are stateful: ``reset(rng)`` returns the initial state id
 and ``step(action, rng)`` advances the episode.  All randomness flows
 through the generator passed in, so runs are reproducible.
@@ -16,7 +23,7 @@ through the generator passed in, so runs are reproducible.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -56,33 +63,27 @@ class StepResult:
     progress: float = 0.0
 
 
-def _params(spec: EnvSpec, defaults: dict[str, object]) -> dict[str, object]:
-    unknown = set(spec.params) - set(defaults)
+# The type of a param's default is the type of the param.
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
+          str: (str, "a string")}
+
+
+def _params(env, spec: EnvSpec) -> None:
+    """Set each ``env.PARAMS`` entry as an attribute of the same name,
+    ``spec.params`` taking precedence over the defaults, each checked
+    against the type of its default."""
+    unknown = set(spec.params) - set(env.PARAMS)
     if unknown:
         raise ConfigError(f"unknown params for env {spec.name!r}: {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(spec.params)
-    return merged
-
-
-def _finite(params: dict[str, object], name: str) -> float:
-    value = float(params[name])
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {params[name]!r}")
-    return value
-
-
-def _integer(params: dict[str, object], name: str, minimum: int) -> int:
-    value = params[name]
-    try:
-        if isinstance(value, (bool, np.bool_)):
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-    return value
+    env.spec = spec
+    for name, default in env.PARAMS.items():
+        value, kind = spec.params.get(name, default), type(default)
+        accepted, what = _KINDS[kind]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise TypeError(f"{name} must be {what}, got {value!r}")
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        setattr(env, name, kind(value))
 
 
 class ConflictBandit:
@@ -97,25 +98,16 @@ class ConflictBandit:
 
     SAFE = 0
     RISKY = 1
+    PARAMS = {"crash_prob": 0.2, "crash_penalty": -1.0, "safe_progress": 0.5,
+              "risky_progress": 1.0}
+    n_states = 1
+    n_actions = 2
+    n_objectives = 2
 
     def __init__(self, spec: EnvSpec) -> None:
-        p = _params(spec, {
-            "crash_prob": 0.2,
-            "crash_penalty": -1.0,
-            "safe_progress": 0.5,
-            "risky_progress": 1.0,
-        })
-        self.crash_prob = _finite(p, "crash_prob")
+        _params(self, spec)
         if not (0.0 <= self.crash_prob <= 1.0):
-            raise ConfigError(f"crash_prob must lie in [0, 1], got {p['crash_prob']}")
-        self.spec = spec
-        self.crash_penalty = _finite(p, "crash_penalty")
-        self.safe_progress = _finite(p, "safe_progress")
-        self.risky_progress = _finite(p, "risky_progress")
-        self.n_states = 1
-        self.n_actions = 2
-        self.n_objectives = 2
-        self.objective_names = ("safety", "progress")
+            raise ConfigError(f"crash_prob must lie in [0, 1], got {self.crash_prob}")
 
     def reset(self, rng: np.random.Generator) -> int:
         return 0
@@ -140,17 +132,16 @@ class ChainMDP:
     the start state's discounted value is gamma ** (length - 1).
     """
 
+    PARAMS = {"length": 4, "n_objectives": 1}
+    n_actions = 1
+
     def __init__(self, spec: EnvSpec) -> None:
-        p = _params(spec, {"length": 4, "n_objectives": 1})
-        length = _integer(p, "length", 1)
-        if length < 2:
-            raise ConfigError(f"chain length must be >= 2, got {length}")
-        self.spec = spec
-        self.length = length
-        self.n_states = length
-        self.n_actions = 1
-        self.n_objectives = _integer(p, "n_objectives", 1)
-        self.objective_names = tuple(f"obj{i}" for i in range(self.n_objectives))
+        _params(self, spec)
+        if self.length < 2:
+            raise ConfigError(f"chain length must be >= 2, got {self.length}")
+        if self.n_objectives < 1:
+            raise ConfigError(f"n_objectives must be >= 1, got {self.n_objectives}")
+        self.n_states = self.length
         self._state = 0
 
     def reset(self, rng: np.random.Generator) -> int:
@@ -214,45 +205,31 @@ class CrossingGrid:
     LEFT = 3
     RIGHT = 4
 
+    # Cells each action passes through, as (row, column) offsets.
+    _PATHS = {STAY: ((0, 0),), SLOW: ((1, 0),), FAST: ((1, 0), (2, 0)),
+              LEFT: ((0, -1),), RIGHT: ((0, 1),)}
     _SPEED = {STAY: 0, SLOW: 1, FAST: 2, LEFT: 1, RIGHT: 1}
     _DENSITY = {"low": 2, "mid": 3, "high": 4}
+    PARAMS = {"width": 7, "height": 5, "density": "mid", "lane_halfwidth": 0,
+              "crash_penalty": -1.0, "risk_penalty": -0.2, "lane_penalty": -0.1,
+              "progress_per_row": 0.1, "goal_bonus": 0.3, "comfort_penalty": -0.05}
+    n_actions = 5
+    n_objectives = 5
 
     def __init__(self, spec: EnvSpec) -> None:
-        p = _params(spec, {
-            "width": 7,
-            "height": 5,
-            "density": "mid",
-            "lane_halfwidth": 0,
-            "crash_penalty": -1.0,
-            "risk_penalty": -0.2,
-            "lane_penalty": -0.1,
-            "progress_per_row": 0.1,
-            "goal_bonus": 0.3,
-            "comfort_penalty": -0.05,
-        })
-        width, height = _integer(p, "width", 1), _integer(p, "height", 1)
+        _params(self, spec)
+        width, height = self.width, self.height
         if width < 3 or height < 3:
             raise ConfigError(f"grid must be at least 3x3, got {width}x{height}")
-        density = str(p["density"])
-        if density not in self._DENSITY:
-            raise ConfigError(f"density must be one of {sorted(self._DENSITY)}, got {density!r}")
-        if self._DENSITY[density] >= width:
+        if self.density not in self._DENSITY:
+            raise ConfigError(f"density must be one of {sorted(self._DENSITY)}, "
+                              f"got {self.density!r}")
+        self.cars_per_row = self._DENSITY[self.density]
+        if self.cars_per_row >= width:
             raise ConfigError("density leaves no free cell per row")
-        self.spec = spec
-        self.width = width
-        self.height = height
-        self.cars_per_row = self._DENSITY[density]
-        self.lane_halfwidth = _integer(p, "lane_halfwidth", 0)
-        self.crash_penalty = _finite(p, "crash_penalty")
-        self.risk_penalty = _finite(p, "risk_penalty")
-        self.lane_penalty = _finite(p, "lane_penalty")
-        self.progress_per_row = _finite(p, "progress_per_row")
-        self.goal_bonus = _finite(p, "goal_bonus")
-        self.comfort_penalty = _finite(p, "comfort_penalty")
+        if self.lane_halfwidth < 0:
+            raise ConfigError(f"lane_halfwidth must be >= 0, got {self.lane_halfwidth}")
         self.n_states = width * height * 16
-        self.n_actions = 5
-        self.n_objectives = 5
-        self.objective_names = ("safety", "risk", "lane", "progress", "comfort")
         self._full = (1 << width) - 1
         # The row-0 convoy at phase 0; reset rotates it by the drawn phase.
         self._convoy = sum(1 << (width * i // self.cars_per_row)
@@ -278,20 +255,10 @@ class CrossingGrid:
         return self._state_id()
 
     def step(self, action: int, rng: np.random.Generator) -> StepResult:
-        if action not in self._SPEED:
+        if action not in self._PATHS:
             raise InvalidAction(f"action {action} outside 0..{self.n_actions - 1}")
         row, col = self._row, self._col
-        if action == self.STAY:
-            path = [(row, col)]
-        elif action == self.SLOW:
-            path = [(row + 1, col)]
-        elif action == self.FAST:
-            path = [(row + 1, col), (row + 2, col)]
-        elif action == self.LEFT:
-            path = [(row, col - 1)]
-        else:
-            path = [(row, col + 1)]
-        path = [(min(r, self.height - 1), c) for r, c in path]
+        path = [(min(row + dr, self.height - 1), col + dc) for dr, dc in self._PATHS[action]]
 
         offroad = path[-1][1] < 0 or path[-1][1] >= self.width
         self._advance_cars()
@@ -385,17 +352,14 @@ class CrossingGrid:
         return "\n".join(rows)
 
 
-_ENV_TYPES = {
-    "conflictbandit": ConflictBandit,
-    "chainmdp": ChainMDP,
-    "crossinggrid": CrossingGrid,
-}
+_ENV_TYPES = {"conflict-bandit": ConflictBandit, "chain-mdp": ChainMDP,
+              "crossing-grid": CrossingGrid}
 
 
 def make_env(spec: EnvSpec):
-    """Construct the environment named by ``spec``."""
-    key = spec.name.lower().replace("-", "").replace("_", "")
-    if key not in _ENV_TYPES:
-        raise ConfigError(f"unknown env {spec.name!r}, expected one of "
-                          f"{sorted(('conflict-bandit', 'chain-mdp', 'crossing-grid'))}")
-    return _ENV_TYPES[key](spec)
+    """Construct the environment named by ``spec``, ignoring case, ``-`` and ``_``."""
+    wanted = spec.name.lower().replace("-", "").replace("_", "")
+    for name, env_type in _ENV_TYPES.items():
+        if name.replace("-", "") == wanted:
+            return env_type(spec)
+    raise ConfigError(f"unknown env {spec.name!r}, expected one of {sorted(_ENV_TYPES)}")

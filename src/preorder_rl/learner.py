@@ -116,6 +116,8 @@ class LearnerConfig:
                               f"got {self.learning_rate_end}")
         if self.quantile_count < 1:
             raise ConfigError(f"quantile_count must be >= 1, got {self.quantile_count}")
+        if not np.isfinite(self.huber_kappa):
+            raise ConfigError(f"huber_kappa must be finite, got {self.huber_kappa}")
         if self.huber_kappa < 0.0:
             raise ConfigError(f"huber_kappa must be >= 0, got {self.huber_kappa}")
         if isinstance(self.initial_value, Sequence):

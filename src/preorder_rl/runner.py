@@ -1,10 +1,12 @@
 """End-to-end run orchestration on top of the learner.
 
-Artifacts live under ``<out>/<config-hash>/<variant-label>/<seed>/``:
+Artifacts live under ``<out>/<key>/<variant-label>/<seed>/``:
 ``tensor.csv`` holds the trained quantile tensor and ``episodes.csv``
-the training log.  Evaluation and comparison write CSV summaries at the
-run-directory root.  Everything re-derives its inputs from the config,
-so the steps can run in separate processes or sessions.
+the training log.  The key hashes the config without its seed list and
+evaluation budget, so changing those reuses the trained tensors.
+Evaluation and comparison write CSV summaries at the run-directory
+root.  Everything re-derives its inputs from the config, so the steps
+can run in separate processes or sessions.
 """
 
 from __future__ import annotations
@@ -21,16 +23,21 @@ from .comparators import ComparatorConfig, QuantileMatrix
 from .config import RunConfig, Variant, _seeds, config_hash, parse_config
 from .envs import make_env
 from .errors import ConfigError, ShapeMismatch
-from .learner import _check_env, evaluate, train
+from .learner import WEIGHTED_SUM, _check_env, evaluate, train
 from .plots import interval_plot_svg
 from .preorder import PreorderGraph
 from .selection import global_leaf_survivors, select
 
 _EVAL_SEED_STRIDE = 1_000_003
+# Top-level fields no trained tensor depends on: the seed list (which
+# ``--seeds`` overrides anyway) and the evaluation budget.
+_UNKEYED = ("seeds", "eval_runs", "eval_episodes")
 
 
 def run_dir(config: RunConfig, out_dir) -> Path:
-    return Path(out_dir) / config_hash(config.raw)
+    """The run directory, keyed by the hash of the config's training fields."""
+    return Path(out_dir) / config_hash({k: v for k, v in config.raw.items()
+                                        if k not in _UNKEYED})
 
 
 def artifact_dir(config: RunConfig, out_dir, label: str, seed: int) -> Path:
@@ -167,7 +174,7 @@ def run_compare(config: RunConfig, out_dir) -> Path:
                ablation_rows)
 
     baseline = next((v.label for v in config.variants
-                     if v.learner.mode == "weighted-sum" and v.label in means), None)
+                     if v.learner.mode == WEIGHTED_SUM and v.label in means), None)
     reward_header = ["variant"] + [f"return_{i}" for i in range(n)]
     if baseline is not None:
         reward_header += [f"delta_pct_{i}" for i in range(n)]

@@ -312,6 +312,17 @@ def test_non_scalar_env_param_exits_2_and_names_the_field(tmp_path, capsys) -> N
     assert "env.params" in capsys.readouterr().err
 
 
+def test_boolean_env_param_exits_2_and_names_the_field(tmp_path, capsys) -> None:
+    # JSON true is not a number: read as 1.0, a crash would pay.
+    config = write_config(tmp_path, env={"name": "conflict-bandit", "episode_cap": 1,
+                                         "params": {"crash_penalty": True}})
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "env.params" in err and "crash_penalty" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", float("nan")], ids=["string", "json-literal"])
 def test_non_finite_env_param_exits_2_before_train_writes(tmp_path, capsys, value) -> None:
     # float("nan") is written as the JSON NaN literal, which json.loads accepts.

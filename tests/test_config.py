@@ -203,7 +203,9 @@ def test_variant_errors_name_the_offending_entry() -> None:
     ({"initial_value": float("nan")}, "initial_value must be finite, got nan"),
     ({"learning_rate_end": 0.5}, "learning_rate_end must lie in (0, learning_rate], got 0.5"),
     ({"epsilon_start": 0.01, "epsilon_end": 0.5}, "need 0 <= end <= start <= 1"),
-    ({"epsilon_decay_episodes": 0}, "decay_episodes must be >= 1, got 0")])
+    ({"epsilon_decay_episodes": 0}, "decay_episodes must be >= 1, got 0"),
+    ({"huber_kappa": float("inf")}, "huber_kappa must be finite, got inf"),
+    ({"huber_kappa": float("nan")}, "huber_kappa must be finite, got nan")])
 def test_shared_learner_values_are_blamed_on_the_learner_block(learner, message) -> None:
     raw = minimal(learner=learner,
                   variants=[{"label": "a"}, {"label": "b", "mode": "mean-aggregation"}])

@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from preorder_rl.envs import ChainMDP, ConflictBandit, CrossingGrid, EnvSpec, make_env
+from preorder_rl.envs import _ENV_TYPES, ChainMDP, ConflictBandit, CrossingGrid, EnvSpec, make_env
 from preorder_rl.errors import ConfigError, InvalidAction
 
 
@@ -90,9 +90,30 @@ def test_bandit_validates_crash_prob() -> None:
     ("conflict-bandit", "crash_prob"), ("conflict-bandit", "crash_penalty"),
     ("crossing-grid", "risk_penalty"), ("crossing-grid", "goal_bonus")])
 def test_non_finite_float_params_are_rejected_by_name(name, param) -> None:
-    for value in (float("nan"), "nan", float("inf"), "-inf"):
+    for value in (float("nan"), float("inf")):
         with pytest.raises(ConfigError, match=param):
             make_env(EnvSpec(name, params={param: value}))
+    # A string is never a number, whatever it spells.
+    for value in ("nan", "-inf"):
+        with pytest.raises(TypeError, match=param):
+            make_env(EnvSpec(name, params={param: value}))
+
+
+WRONG_SCALAR = {int: 2.0, float: "0.5", str: 3}
+
+
+@pytest.mark.parametrize(("name", "param"), [
+    (name, param) for name, env_type in _ENV_TYPES.items() for param in env_type.PARAMS])
+def test_every_param_is_typed_by_its_default(name, param) -> None:
+    default = _ENV_TYPES[name].PARAMS[param]
+    kind = type(default)
+    for value in (True, np.bool_(False), None, WRONG_SCALAR[kind]):
+        with pytest.raises(TypeError, match=f"^{param} must be "):
+            make_env(EnvSpec(name, params={param: value}))
+    # Integers, numpy ones included, pass for int and float params alike.
+    if kind in (int, float):
+        env = make_env(EnvSpec(name, params={param: np.int16(int(default))}))
+        assert getattr(env, param) == int(default) and type(getattr(env, param)) is kind
 
 
 def test_chain_walks_right_and_pays_at_the_end() -> None:

@@ -70,13 +70,30 @@ def run_space(tmp_path_factory) -> tuple:
 def test_artifact_layout(run_space) -> None:
     config, out, base = run_space
     assert base == run_dir(config, out)
-    assert base.name == config_hash(config.raw)
+    assert base.name == config_hash({k: v for k, v in config.raw.items()
+                                     if k not in ("seeds", "eval_runs", "eval_episodes")})
     for label in ("pr", "ws"):
         for seed in (0, 1):
             target = artifact_dir(config, out, label, seed)
             assert target == base / label / str(seed)
             assert (target / "tensor.csv").is_file()
             assert (target / "episodes.csv").is_file()
+
+
+def test_evaluation_budget_and_seeds_reuse_the_trained_tensors(tmp_path) -> None:
+    raw = bandit_raw()
+    raw.update(seeds=[0], eval_runs=1)
+    config = parse_config(raw)
+    base = run_train(config, tmp_path)
+    raw.update(seeds=[0, 5], eval_runs=2, eval_episodes=7)
+    wider = parse_config(raw)
+    assert run_dir(wider, tmp_path) == base
+    run_evaluate(wider, tmp_path, seeds=[0])
+    _, rows = read_csv(base / "evaluate.csv")
+    assert [row[:3] for row in rows] == [["pr", "0", "0"], ["pr", "0", "1"],
+                                         ["ws", "0", "0"], ["ws", "0", "1"]]
+    raw["episodes"] += 1
+    assert run_dir(parse_config(raw), tmp_path) != base
 
 
 def test_config_snapshot_is_canonical(run_space) -> None:
