@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .artifacts import load_quantile_csv
-from .comparators import COMPARATOR_KINDS, QUANTILE_DOMINANCE, ComparatorConfig
+from .comparators import COMPARATOR_KINDS, ComparatorConfig
 from .config import _seeds, load_config, load_preorder
 from .errors import ConfigError, LengthMismatch, MissingArtifact, ShapeMismatch
 from .runner import run_compare, run_evaluate, run_select, run_stats, run_train
@@ -58,10 +58,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--preorder", required=True,
                      help='JSON file: {"n_objectives": N, "edges": [[higher, lower], ...]}')
     sel.add_argument("--out", required=True)
-    sel.add_argument("--kind", default=QUANTILE_DOMINANCE, choices=COMPARATOR_KINDS)
-    sel.add_argument("--epsilon", type=float, default=0.0)
-    sel.add_argument("--cvar-alpha", type=float, default=0.25)
-    sel.add_argument("--mv-lambda", type=float, default=1.0)
+    sel.add_argument("--kind", default=ComparatorConfig.kind, choices=COMPARATOR_KINDS)
+    sel.add_argument("--epsilon", type=float, default=ComparatorConfig.epsilon)
+    sel.add_argument("--cvar-alpha", type=float, default=ComparatorConfig.cvar_alpha)
+    sel.add_argument("--mv-lambda", type=float, default=ComparatorConfig.mv_lambda)
 
     st = sub.add_parser("stats", help="robust summaries of an algorithm,seed,run,score CSV")
     st.add_argument("--scores", required=True)
@@ -72,38 +72,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "train":
-        config = load_config(args.config)
-        seeds = _parse_seeds(args.seeds) if args.seeds else None
-        base = run_train(config, args.out, seeds=seeds, jobs=args.jobs)
-        print(f"trained {len(config.variants)} variant(s) into {base}")
-    elif args.command == "evaluate":
-        config = load_config(args.config)
-        seeds = _parse_seeds(args.seeds) if args.seeds else None
-        path = run_evaluate(config, args.out, seeds=seeds)
-        print(f"wrote {path}")
-    elif args.command == "compare":
-        config = load_config(args.config)
-        path = run_compare(config, args.out)
-        print(f"wrote {path}")
-    elif args.command == "select":
+def _dispatch(args: argparse.Namespace) -> str:
+    """Run the subcommand; returns the line it reports."""
+    if args.command == "select":
         graph = load_preorder(args.preorder)
         comparator = ComparatorConfig(args.kind, args.epsilon, args.cvar_alpha, args.mv_lambda)
         matrices = [load_quantile_csv(path) for path in args.matrices]
-        path = run_select(graph, matrices, comparator, args.out)
-        print(f"wrote {path}")
-    else:
+        return f"wrote {run_select(graph, matrices, comparator, args.out)}"
+    if args.command == "stats":
         path = run_stats(args.scores, args.out, seed=args.seed, n_resamples=args.resamples,
                          gap_target=args.gap_target)
-        print(f"wrote {path}")
-    return EXIT_OK
+        return f"wrote {path}"
+    config = load_config(args.config)
+    seeds = _parse_seeds(args.seeds) if getattr(args, "seeds", None) else None
+    if args.command == "train":
+        base = run_train(config, args.out, seeds=seeds, jobs=args.jobs)
+        return f"trained {len(config.variants)} variant(s) into {base}"
+    if args.command == "evaluate":
+        return f"wrote {run_evaluate(config, args.out, seeds=seeds)}"
+    return f"wrote {run_compare(config, args.out)}"
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        print(_dispatch(args))
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

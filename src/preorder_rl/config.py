@@ -2,29 +2,31 @@
 
 A run config bundles one environment, a base priority preorder, shared
 learner settings, and a list of algorithm variants to train side by
-side.  Each variant carries the one validated :class:`LearnerConfig` it
-trains and evaluates with: the shared settings plus its own mode,
-comparator, bootstrap filter and weights.  Output directories are keyed
-by a short hash of the canonical JSON of the training fields, so configs
-that train differently never collide.
+side.  The shared ``learner`` block parses to one validated
+:class:`LearnerConfig`, and each variant is a ``dataclasses.replace`` of
+it with its own mode, comparator, bootstrap filter and weights.  Output
+directories are keyed by a short hash of the canonical JSON of the
+training fields, so configs that train differently never collide.
 
 The schema is the field tables ``_TOP``, ``_ENV``, ``_PREORDER``,
 ``_LEARNER``, ``_VARIANT`` and ``_COMPARATOR``, one per JSON block.
 :func:`_fields` reads every block, and the ``select --preorder`` file,
 against its table, so each rejects fields its table does not name.
+Each default is read from the dataclass field it fills; only the
+``gammas`` default, one number for every objective, is the config's own.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .comparators import ComparatorConfig
 from .envs import EnvSpec, make_env
 from .errors import ConfigError
-from .learner import MODES, PREORDER, WEIGHTED_SUM, EpsilonSchedule, LearnerConfig
+from .learner import MODES, WEIGHTED_SUM, EpsilonSchedule, LearnerConfig
 from .preorder import PreorderGraph, build_graph
 
 SCHEMA_VERSION = 1
@@ -35,18 +37,22 @@ _TOP = {"schema_version": (int, _REQUIRED), "env": (dict, _REQUIRED),
         "preorder": (dict, _REQUIRED), "learner": (dict, {}), "episodes": (int, _REQUIRED),
         "seeds": (list, [0]), "eval_runs": (int, 1), "eval_episodes": (int, 100),
         "variants": (list, _REQUIRED)}
-_ENV = {"name": (str, _REQUIRED), "episode_cap": (int, 100), "params": (dict, {})}
+_ENV = {"name": (str, _REQUIRED), "episode_cap": (int, EnvSpec.episode_cap), "params": (dict, {})}
 _PREORDER = {"n_objectives": (int, _REQUIRED), "edges": (list, [])}
-_LEARNER = {"gammas": (None, 0.95), "learning_rate": (float, 0.1),
-            "learning_rate_end": (float, None), "quantile_count": (int, 8),
-            "epsilon_start": (float, 1.0), "epsilon_end": (float, 0.05),
-            "epsilon_decay_episodes": (int, 1), "huber_kappa": (float, 0.0),
-            "initial_value": (float, 0.0)}
-_VARIANT = {"label": (str, _REQUIRED), "mode": (str, PREORDER), "comparator": (dict, {}),
-            "training_preorder": (bool, True), "weights": (list, None),
-            "preorder": (dict, None)}
-_COMPARATOR = {"kind": (str, "qd"), "epsilon": (float, 0.0), "cvar_alpha": (float, 0.25),
-               "mv_lambda": (float, 1.0)}
+_LEARNER = {"gammas": (None, 0.95), "learning_rate": (float, LearnerConfig.learning_rate),
+            "learning_rate_end": (float, LearnerConfig.learning_rate_end),
+            "quantile_count": (int, LearnerConfig.quantile_count),
+            "epsilon_start": (float, EpsilonSchedule.start),
+            "epsilon_end": (float, EpsilonSchedule.end),
+            "epsilon_decay_episodes": (int, EpsilonSchedule.decay_episodes),
+            "huber_kappa": (float, LearnerConfig.huber_kappa),
+            "initial_value": (float, LearnerConfig.initial_value)}
+_VARIANT = {"label": (str, _REQUIRED), "mode": (str, LearnerConfig.mode), "comparator": (dict, {}),
+            "training_preorder": (bool, LearnerConfig.training_preorder),
+            "weights": (list, LearnerConfig.weights), "preorder": (dict, None)}
+_COMPARATOR = {"kind": (str, ComparatorConfig.kind), "epsilon": (float, ComparatorConfig.epsilon),
+               "cvar_alpha": (float, ComparatorConfig.cvar_alpha),
+               "mv_lambda": (float, ComparatorConfig.mv_lambda)}
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,10 @@ class RunConfig:
 
 def _typed(value, kind, name: str):
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{name}: integer out of float range") from None
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
     return value
@@ -145,32 +154,26 @@ def _parse_comparator(raw: dict, where: str) -> ComparatorConfig:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_learner(raw: dict, n_objectives: int) -> dict:
-    """The learner settings every variant shares, as ``LearnerConfig`` keywords."""
+def _parse_learner(raw: dict, n_objectives: int) -> LearnerConfig:
+    """The shared settings, checked once so a bad value is blamed on the learner block."""
     shared = _fields(raw, "learner", _LEARNER)
     gammas = shared["gammas"]
     if isinstance(gammas, (int, float)) and not isinstance(gammas, bool):
-        shared["gammas"] = tuple(float(gammas) for _ in range(n_objectives))
-    elif isinstance(gammas, list):
-        shared["gammas"] = _floats(gammas, "learner.gammas")
-        if len(gammas) != n_objectives:
-            raise ConfigError(f"learner.gammas: expected {n_objectives} values, "
-                              f"got {len(gammas)}")
-    else:
+        gammas = [_typed(gammas, float, "learner.gammas")] * n_objectives
+    elif not isinstance(gammas, list):
         raise ConfigError("learner.gammas: expected a number or a list of numbers")
-    # The shared values are checked once here, so an out-of-range one is
-    # blamed on the learner block rather than on the first variant.
+    elif len(gammas) != n_objectives:
+        raise ConfigError(f"learner.gammas: expected {n_objectives} values, got {len(gammas)}")
+    shared["gammas"] = _floats(gammas, "learner.gammas")
     try:
-        shared["epsilon"] = EpsilonSchedule(shared.pop("epsilon_start"),
-                                            shared.pop("epsilon_end"),
-                                            shared.pop("epsilon_decay_episodes"))
-        LearnerConfig(n_objectives=n_objectives, **shared)
+        epsilon = EpsilonSchedule(shared.pop("epsilon_start"), shared.pop("epsilon_end"),
+                                  shared.pop("epsilon_decay_episodes"))
+        return LearnerConfig(n_objectives=n_objectives, epsilon=epsilon, **shared)
     except ConfigError as exc:
         raise ConfigError(f"learner: {exc}") from exc
-    return shared
 
 
-def _parse_variant(raw, index: int, base: PreorderGraph, shared: dict) -> Variant:
+def _parse_variant(raw, index: int, base: PreorderGraph, shared: LearnerConfig) -> Variant:
     where = f"variants[{index}]"
     fields = _fields(raw, where, _VARIANT)
     label, mode = fields["label"], fields["mode"]
@@ -190,9 +193,8 @@ def _parse_variant(raw, index: int, base: PreorderGraph, shared: dict) -> Varian
         if graph.n_objectives != base.n_objectives:
             raise ConfigError(f"{where}.preorder.n_objectives: must match the base preorder")
     try:
-        learner = LearnerConfig(n_objectives=base.n_objectives, comparator=comparator,
-                                training_preorder=fields["training_preorder"], mode=mode,
-                                weights=weights, **shared)
+        learner = replace(shared, mode=mode, comparator=comparator, weights=weights,
+                          training_preorder=fields["training_preorder"])
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return Variant(label, learner, graph)

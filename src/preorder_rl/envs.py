@@ -22,8 +22,8 @@ through the generator passed in, so runs are reproducible.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -81,7 +81,8 @@ def _params(env, spec: EnvSpec) -> None:
         accepted, what = _KINDS[kind]
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise TypeError(f"{name} must be {what}, got {value!r}")
-        if kind is float and not math.isfinite(value):
+        # Not math.isfinite, which overflows on an integer beyond float range.
+        if kind is float and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{name} must be finite, got {value!r}")
         setattr(env, name, kind(value))
 

@@ -32,7 +32,7 @@ and ``train`` adds the episode to the message.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,20 +68,34 @@ class EpsilonSchedule:
         return self.start + (self.end - self.start) * frac
 
 
+def _reals(values, name: str, count: int) -> tuple[float, ...]:
+    """``values`` as ``count`` finite floats; a string, a bare number or a
+    bool entry raises, naming ``name``."""
+    if not isinstance(values, (list, tuple, np.ndarray)) or not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+        raise ConfigError(f"{name} must be a sequence of real numbers, got {values!r}")
+    if len(values) != count:
+        raise ConfigError(f"expected {count} {name}, got {len(values)}")
+    values = tuple(float(v) for v in values)
+    if not all(np.isfinite(values)):
+        raise ConfigError(f"{name} must be finite, got {values}")
+    return values
+
+
 @dataclass
 class LearnerConfig:
     """Everything a training run needs besides the environment.
 
-    ``comparator`` may be a single config shared by all objectives or a
-    sequence with one entry per objective.  ``weights`` is required by
-    the weighted-sum mode and ignored otherwise.  ``huber_kappa`` of 0
-    selects the plain pinball update.  When ``learning_rate_end`` is
-    set, the step size anneals linearly from ``learning_rate`` to it
-    over the training episodes, which damps the late-stage jitter of
-    the quantile estimates.  ``initial_value`` fills fresh quantile
-    tables, either one number for every head or one per head; filling
-    a head at its worst attainable return keeps rarely visited actions
-    from looking better than well-explored ones.
+    Each setting takes one form: ``comparator`` is one
+    :class:`ComparatorConfig` for every objective, ``gammas`` and
+    ``weights`` are sequences of finite reals, one per objective (the
+    weighted-sum mode alone needs ``weights``), and ``initial_value`` is
+    one finite real number that fills every fresh quantile table; filling
+    at the worst attainable return keeps rarely visited actions from
+    looking better than well-explored ones.  ``huber_kappa`` of 0 selects
+    the plain pinball update.  When ``learning_rate_end`` is set, the step
+    size anneals linearly from ``learning_rate`` to it over the training
+    episodes, damping the late-stage jitter of the estimates.
     """
 
     n_objectives: int
@@ -90,22 +104,19 @@ class LearnerConfig:
     learning_rate_end: float | None = None
     epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule)
     quantile_count: int = 8
-    comparator: ComparatorConfig | tuple[ComparatorConfig, ...] = field(
-        default_factory=ComparatorConfig)
+    comparator: ComparatorConfig = field(default_factory=ComparatorConfig)
     training_preorder: bool = True
     mode: str = PREORDER
     weights: tuple[float, ...] | None = None
     huber_kappa: float = 0.0
-    initial_value: float | tuple[float, ...] = 0.0
+    initial_value: float = 0.0
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         if self.n_objectives < 1:
             raise ConfigError(f"need at least one objective, got {self.n_objectives}")
-        self.gammas = tuple(float(g) for g in self.gammas)
-        if len(self.gammas) != self.n_objectives:
-            raise ConfigError(f"expected {self.n_objectives} gammas, got {len(self.gammas)}")
+        self.gammas = _reals(self.gammas, "gammas", self.n_objectives)
         if any(not (0.0 <= g < 1.0) for g in self.gammas):
             raise ConfigError(f"gammas must lie in [0, 1), got {self.gammas}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
@@ -120,28 +131,16 @@ class LearnerConfig:
             raise ConfigError(f"huber_kappa must be finite, got {self.huber_kappa}")
         if self.huber_kappa < 0.0:
             raise ConfigError(f"huber_kappa must be >= 0, got {self.huber_kappa}")
-        if isinstance(self.initial_value, Sequence):
-            self.initial_value = tuple(float(v) for v in self.initial_value)
-            if len(self.initial_value) != self.n_heads:
-                raise ConfigError(f"expected {self.n_heads} initial values, "
-                                  f"got {len(self.initial_value)}")
-            if any(not np.isfinite(v) for v in self.initial_value):
-                raise ConfigError(f"initial values must be finite, got {self.initial_value}")
-        elif not np.isfinite(self.initial_value):
+        if isinstance(self.initial_value, bool) or not isinstance(self.initial_value, numbers.Real):
+            raise ConfigError(f"initial_value must be one real number, got {self.initial_value!r}")
+        if not np.isfinite(self.initial_value):
             raise ConfigError(f"initial_value must be finite, got {self.initial_value}")
-        if self.mode == WEIGHTED_SUM:
-            if self.weights is None:
-                raise ConfigError("weighted-sum mode needs weights")
-            self.weights = tuple(float(w) for w in self.weights)
-            if len(self.weights) != self.n_objectives:
-                raise ConfigError(f"expected {self.n_objectives} weights, got {len(self.weights)}")
-            if any(not np.isfinite(w) for w in self.weights):
-                raise ConfigError(f"weights must be finite, got {self.weights}")
-        if isinstance(self.comparator, Sequence):
-            self.comparator = tuple(self.comparator)
-            if len(self.comparator) != self.n_objectives:
-                raise ConfigError(f"expected {self.n_objectives} comparator configs, "
-                                  f"got {len(self.comparator)}")
+        if self.weights is not None:
+            self.weights = _reals(self.weights, "weights", self.n_objectives)
+        elif self.mode == WEIGHTED_SUM:
+            raise ConfigError("weighted-sum mode needs weights")
+        if not isinstance(self.comparator, ComparatorConfig):
+            raise ConfigError(f"comparator must be one ComparatorConfig, got {self.comparator!r}")
 
     @property
     def n_heads(self) -> int:
@@ -367,9 +366,7 @@ def train(env, config: LearnerConfig, graph: PreorderGraph, seed: int,
     rng = np.random.default_rng(seed)
     tensor = QuantileTensor.zeros(config.n_heads, env.n_states, env.n_actions,
                                   config.quantile_count)
-    init = np.broadcast_to(np.asarray(config.initial_value, dtype=float),
-                           (config.n_heads,))
-    tensor.values += init.reshape(-1, 1, 1, 1)
+    tensor.values += config.initial_value
     records = []
     memo: dict[int, SelectionState] = {}
     for episode in range(episodes):

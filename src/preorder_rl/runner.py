@@ -3,10 +3,11 @@
 Artifacts live under ``<out>/<key>/<variant-label>/<seed>/``:
 ``tensor.csv`` holds the trained quantile tensor and ``episodes.csv``
 the training log.  The key hashes the config without its seed list and
-evaluation budget, so changing those reuses the trained tensors.
-Evaluation and comparison write CSV summaries at the run-directory
-root.  Everything re-derives its inputs from the config, so the steps
-can run in separate processes or sessions.
+evaluation budget, so changing those reuses the trained tensors, and
+``config.json`` holds exactly the hashed fields.  Evaluation and
+comparison write CSV summaries of the latest evaluation at the
+run-directory root.  Everything re-derives its inputs from the config,
+so the steps can run in separate processes or sessions.
 """
 
 from __future__ import annotations
@@ -29,15 +30,19 @@ from .preorder import PreorderGraph
 from .selection import global_leaf_survivors, select
 
 _EVAL_SEED_STRIDE = 1_000_003
-# Top-level fields no trained tensor depends on: the seed list (which
-# ``--seeds`` overrides anyway) and the evaluation budget.
-_UNKEYED = ("seeds", "eval_runs", "eval_episodes")
+
+
+def _keyed(config: RunConfig) -> dict:
+    """The training fields the run directory's key hashes: the config
+    without the seed list (which ``--seeds`` overrides anyway) and the
+    evaluation budget, fields no trained tensor depends on."""
+    return {k: v for k, v in config.raw.items()
+            if k not in ("seeds", "eval_runs", "eval_episodes")}
 
 
 def run_dir(config: RunConfig, out_dir) -> Path:
     """The run directory, keyed by the hash of the config's training fields."""
-    return Path(out_dir) / config_hash({k: v for k, v in config.raw.items()
-                                        if k not in _UNKEYED})
+    return Path(out_dir) / config_hash(_keyed(config))
 
 
 def artifact_dir(config: RunConfig, out_dir, label: str, seed: int) -> Path:
@@ -76,7 +81,7 @@ def run_train(config: RunConfig, out_dir, seeds=None, jobs: int = 1) -> Path:
         _check_env(env, variant.learner, variant.graph)
     base = run_dir(config, out_dir)
     base.mkdir(parents=True, exist_ok=True)
-    (base / "config.json").write_text(json.dumps(config.raw, indent=2, sort_keys=True) + "\n")
+    (base / "config.json").write_text(json.dumps(_keyed(config), indent=2, sort_keys=True) + "\n")
     pairs = [(variant, seed) for variant in config.variants for seed in seeds]
     if jobs > 1:
         # Imported here: the pool pulls in multiprocessing, which serial runs never use.

@@ -323,6 +323,25 @@ def test_boolean_env_param_exits_2_and_names_the_field(tmp_path, capsys) -> None
     assert not out.exists()
 
 
+@pytest.mark.parametrize(("overrides", "field"), [
+    ({"env": {"name": "conflict-bandit", "params": {"crash_penalty": -10**400}}},
+     "crash_penalty"),
+    ({"learner": {"gammas": 0.9, "learning_rate": 10**400}}, "learner.learning_rate"),
+    ({"learner": {"gammas": [0.9, -10**400]}}, "learner.gammas[1]"),
+    ({"variants": [{"label": "pr", "comparator": {"epsilon": 10**400}}]},
+     "variants[0].comparator.epsilon"),
+    ({"variants": [{"label": "ws", "mode": "weighted-sum", "weights": [1, -10**400]}]},
+     "variants[0].weights[1]")],
+    ids=["env-param", "learning-rate", "gamma", "comparator-epsilon", "weight"])
+def test_huge_json_integer_exits_2_naming_the_field(tmp_path, capsys, overrides, field) -> None:
+    # A valid JSON integer, but beyond float range: float() of it would overflow.
+    config = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", float("nan")], ids=["string", "json-literal"])
 def test_non_finite_env_param_exits_2_before_train_writes(tmp_path, capsys, value) -> None:
     # float("nan") is written as the JSON NaN literal, which json.loads accepts.

@@ -8,10 +8,18 @@ import re
 
 import pytest
 
+from preorder_rl.cli import _build_parser
 from preorder_rl.comparators import ComparatorConfig
 from preorder_rl.config import config_hash, load_config, parse_config
+from preorder_rl.envs import EnvSpec
 from preorder_rl.errors import ConfigError
-from preorder_rl.learner import MEAN_AGGREGATION, PREORDER, WEIGHTED_SUM, EpsilonSchedule
+from preorder_rl.learner import (
+    MEAN_AGGREGATION,
+    PREORDER,
+    WEIGHTED_SUM,
+    EpsilonSchedule,
+    LearnerConfig,
+)
 
 
 def minimal(**overrides) -> dict:
@@ -51,6 +59,17 @@ def test_minimal_config_fills_defaults() -> None:
     assert learner.weights is None
     assert learner.comparator == ComparatorConfig("qd", 0.0)
     assert variant.graph is run.graph
+
+
+def test_each_default_has_one_declaration() -> None:
+    # The config tables and the select flags read their defaults from the
+    # dataclasses; only the gammas default is the config's own.
+    run = parse_config(minimal())
+    assert run.variants[0].learner == LearnerConfig(n_objectives=2, gammas=(0.95,) * 2)
+    assert run.env.episode_cap == EnvSpec.episode_cap
+    args = _build_parser().parse_args(["select", "a.csv", "--preorder", "p.json", "--out", "o"])
+    flags = ComparatorConfig(args.kind, args.epsilon, args.cvar_alpha, args.mv_lambda)
+    assert flags == ComparatorConfig()
 
 
 def test_full_config_round_trip() -> None:

@@ -86,6 +86,22 @@ def test_learner_config_validation() -> None:
         LearnerConfig(**{**good, "initial_value": float("nan")})
 
 
+@pytest.mark.parametrize(("field", "value"), [
+    ("comparator", "qd"),
+    ("comparator", (ComparatorConfig(),) * 2),
+    ("initial_value", "05"),
+    ("initial_value", (0.0, 0.0)),
+    ("weights", "12"),
+    ("weights", (True, False)),
+    ("gammas", 0.9),
+    ("gammas", "09")])
+def test_each_setting_takes_one_form(field, value) -> None:
+    good = dict(n_objectives=2, gammas=(0.9, 0.9), mode=WEIGHTED_SUM, weights=(1.0, 1.0))
+    LearnerConfig(**good)
+    with pytest.raises(ConfigError, match=f"^{field} "):
+        LearnerConfig(**{**good, field: value})
+
+
 def test_head_count_per_mode() -> None:
     assert LearnerConfig(n_objectives=3, gammas=(0.9,) * 3).n_heads == 3
     assert LearnerConfig(n_objectives=3, gammas=(0.9,) * 3,
@@ -520,11 +536,10 @@ def test_training_is_deterministic_per_seed() -> None:
 
 def test_initial_value_fills_unvisited_cells_per_head() -> None:
     env = make_env(EnvSpec("conflict-bandit", episode_cap=1))
-    config = LearnerConfig(n_objectives=2, gammas=(0.9, 0.9),
-                           initial_value=(-1.0, 0.25))
+    config = LearnerConfig(n_objectives=2, gammas=(0.9, 0.9), initial_value=-1.0)
     tensor, _ = train(env, config, CHAIN2, seed=1, episodes=0)
-    assert np.all(tensor.values[0] == -1.0)
-    assert np.all(tensor.values[1] == 0.25)
+    assert tensor.n_heads == 2
+    assert np.all(tensor.values == -1.0)
 
 
 def test_learning_rate_anneal_reaches_the_floor() -> None:

@@ -99,7 +99,23 @@ def test_evaluation_budget_and_seeds_reuse_the_trained_tensors(tmp_path) -> None
 def test_config_snapshot_is_canonical(run_space) -> None:
     config, _, base = run_space
     text = (base / "config.json").read_text()
-    assert text == json.dumps(config.raw, indent=2, sort_keys=True) + "\n"
+    keyed = {k: v for k, v in config.raw.items()
+             if k not in ("seeds", "eval_runs", "eval_episodes")}
+    assert text == json.dumps(keyed, indent=2, sort_keys=True) + "\n"
+
+
+def test_config_snapshot_holds_the_key_after_a_wider_evaluation(tmp_path) -> None:
+    raw = bandit_raw()
+    raw.update(seeds=[0], eval_runs=1)
+    base = run_train(parse_config(raw), tmp_path)
+    raw.update(eval_runs=2)
+    wider = parse_config(raw)
+    run_evaluate(wider, tmp_path)
+    _, rows = read_csv(base / "evaluate.csv")
+    assert {row[2] for row in rows} == {"0", "1"}
+    snapshot = json.loads((base / "config.json").read_text())
+    assert not {"seeds", "eval_runs", "eval_episodes"} & set(snapshot)
+    assert config_hash(snapshot) == run_dir(wider, tmp_path).name == base.name
 
 
 def test_evaluate_summary_layout(run_space) -> None:
