@@ -10,6 +10,7 @@ shape disagreements.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from .artifacts import load_quantile_csv
@@ -66,9 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("stats", help="robust summaries of an algorithm,seed,run,score CSV")
     st.add_argument("--scores", required=True)
     st.add_argument("--out", required=True)
-    st.add_argument("--seed", type=int, default=0)
-    st.add_argument("--resamples", type=int, default=2000)
-    st.add_argument("--gap-target", type=float, default=1.0)
+    defaults = inspect.signature(run_stats).parameters
+    st.add_argument("--seed", type=int, default=defaults["seed"].default)
+    st.add_argument("--resamples", type=int, default=defaults["n_resamples"].default)
+    st.add_argument("--gap-target", type=float, default=defaults["gap_target"].default)
     return parser
 
 

@@ -14,6 +14,7 @@ entry points are its one-head case.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,11 +106,11 @@ class ComparatorConfig:
     def __post_init__(self) -> None:
         if self.kind not in COMPARATOR_KINDS:
             raise ConfigError(f"unknown comparator kind {self.kind!r}, expected one of {COMPARATOR_KINDS}")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
+        if not (abs(self.epsilon) <= sys.float_info.max and self.epsilon >= 0.0):
             raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not (0.0 < self.cvar_alpha <= 1.0):
             raise ConfigError(f"cvar_alpha must lie in (0, 1], got {self.cvar_alpha}")
-        if not (np.isfinite(self.mv_lambda) and self.mv_lambda >= 0.0):
+        if not (abs(self.mv_lambda) <= sys.float_info.max and self.mv_lambda >= 0.0):
             raise ConfigError(f"mv_lambda must be finite and >= 0, got {self.mv_lambda}")
 
 

@@ -33,6 +33,7 @@ and ``train`` adds the episode to the message.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,18 +69,30 @@ class EpsilonSchedule:
         return self.start + (self.end - self.start) * frac
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(value, name: str) -> float:
+    """``value`` as one finite float; a non-real, a bool, NaN, an infinity
+    or an integer beyond float range raises, naming ``name``."""
+    if not _is_real(value):
+        raise ConfigError(f"{name} must be one real number, got {value!r}")
+    # Not float() or np.isfinite first: both fail on an integer beyond float range.
+    if not abs(value) <= sys.float_info.max:
+        shown = "an integer beyond float range" if isinstance(value, numbers.Integral) else value
+        raise ConfigError(f"{name} must be finite, got {shown}")
+    return float(value)
+
+
 def _reals(values, name: str, count: int) -> tuple[float, ...]:
     """``values`` as ``count`` finite floats; a string, a bare number or a
     bool entry raises, naming ``name``."""
-    if not isinstance(values, (list, tuple, np.ndarray)) or not all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+    if not isinstance(values, (list, tuple, np.ndarray)) or not all(map(_is_real, values)):
         raise ConfigError(f"{name} must be a sequence of real numbers, got {values!r}")
     if len(values) != count:
         raise ConfigError(f"expected {count} {name}, got {len(values)}")
-    values = tuple(float(v) for v in values)
-    if not all(np.isfinite(values)):
-        raise ConfigError(f"{name} must be finite, got {values}")
-    return values
+    return tuple(_real(v, name) for v in values)
 
 
 @dataclass
@@ -119,7 +132,8 @@ class LearnerConfig:
         self.gammas = _reals(self.gammas, "gammas", self.n_objectives)
         if any(not (0.0 <= g < 1.0) for g in self.gammas):
             raise ConfigError(f"gammas must lie in [0, 1), got {self.gammas}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+        self.learning_rate = _real(self.learning_rate, "learning_rate")
+        if not self.learning_rate > 0.0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.learning_rate_end is not None and not (
                 0.0 < self.learning_rate_end <= self.learning_rate):
@@ -127,14 +141,10 @@ class LearnerConfig:
                               f"got {self.learning_rate_end}")
         if self.quantile_count < 1:
             raise ConfigError(f"quantile_count must be >= 1, got {self.quantile_count}")
-        if not np.isfinite(self.huber_kappa):
-            raise ConfigError(f"huber_kappa must be finite, got {self.huber_kappa}")
+        self.huber_kappa = _real(self.huber_kappa, "huber_kappa")
         if self.huber_kappa < 0.0:
             raise ConfigError(f"huber_kappa must be >= 0, got {self.huber_kappa}")
-        if isinstance(self.initial_value, bool) or not isinstance(self.initial_value, numbers.Real):
-            raise ConfigError(f"initial_value must be one real number, got {self.initial_value!r}")
-        if not np.isfinite(self.initial_value):
-            raise ConfigError(f"initial_value must be finite, got {self.initial_value}")
+        self.initial_value = _real(self.initial_value, "initial_value")
         if self.weights is not None:
             self.weights = _reals(self.weights, "weights", self.n_objectives)
         elif self.mode == WEIGHTED_SUM:

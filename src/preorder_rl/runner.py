@@ -13,6 +13,7 @@ so the steps can run in separate processes or sessions.
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .comparators import ComparatorConfig, QuantileMatrix
 from .config import RunConfig, Variant, _seeds, config_hash, parse_config
 from .envs import make_env
 from .errors import ConfigError, ShapeMismatch
-from .learner import WEIGHTED_SUM, _check_env, evaluate, train
+from .learner import WEIGHTED_SUM, _check_env, _real, evaluate, train
 from .plots import interval_plot_svg
 from .preorder import PreorderGraph
 from .selection import global_leaf_survivors, select
@@ -238,8 +239,15 @@ def run_stats(scores_path, out_dir, seed: int = 0, n_resamples: int = 2000,
     Writes ``stats_summary.csv`` (IQM and optimality gap with bootstrap
     intervals per algorithm), ``prob_improvement.csv`` (all ordered
     pairs), and ``stats.svg`` (IQM intervals).  Deterministic for a
-    fixed ``seed``.
+    fixed ``seed``.  A negative or non-integer ``seed``, fewer than
+    ``stats.MIN_RESAMPLES`` resamples and a non-finite ``gap_target``
+    raise ``ConfigError`` before anything is read or written.
     """
+    for name, value, least in (("seed", seed, 0),
+                               ("n_resamples", n_resamples, stats_mod.MIN_RESAMPLES)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ConfigError(f"{name}: expected an integer >= {least}, got {value!r}")
+    gap_target = _real(gap_target, "gap_target")
     grouped = load_scores(scores_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

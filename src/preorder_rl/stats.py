@@ -6,9 +6,11 @@ from collections.abc import Callable
 
 import numpy as np
 
+MIN_RESAMPLES = 100
+
 
 def _scores(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).ravel()
+    arr = np.atleast_1d(np.asarray(values, dtype=float))
     if arr.size == 0:
         raise ValueError("need at least one score")
     if not np.all(np.isfinite(arr)):
@@ -16,47 +18,60 @@ def _scores(values) -> np.ndarray:
     return arr
 
 
-def iqm(values) -> float:
-    """Interquartile mean: drop the lowest and highest quarter
-    (floor(n / 4) values each) and average the rest."""
-    arr = np.sort(_scores(values))
-    k = arr.size // 4
-    return float(arr[k: arr.size - k].mean())
+def _per_row(reduced: np.ndarray) -> float | np.ndarray:
+    """A Python float for a reduced 1-D batch, the array otherwise."""
+    return float(reduced) if reduced.ndim == 0 else reduced
 
 
-def optimality_gap(values, target: float = 1.0) -> float:
-    """Mean shortfall below ``target``; scores above it contribute zero."""
+def iqm(values) -> float | np.ndarray:
+    """Interquartile mean along the last axis: drop the lowest and highest
+    quarter (floor(n / 4) values each) and average the rest."""
+    arr = np.sort(_scores(values), axis=-1)
+    n = arr.shape[-1]
+    k = n // 4
+    return _per_row(arr[..., k: n - k].mean(axis=-1))
+
+
+def optimality_gap(values, target: float = 1.0) -> float | np.ndarray:
+    """Mean shortfall below ``target`` along the last axis; scores above
+    it contribute zero."""
     arr = _scores(values)
-    return float(np.maximum(0.0, target - arr).mean())
+    return _per_row(np.maximum(0.0, target - arr).mean(axis=-1))
 
 
 def prob_improvement(values_x, values_y) -> float:
     """Probability that a random score from x beats one from y, counting
     ties as one half.  Identical batches therefore give exactly 0.5."""
-    x = _scores(values_x)
-    y = _scores(values_y)
+    x = _scores(values_x).ravel()
+    y = _scores(values_y).ravel()
     wins = (x[:, None] > y[None, :]).sum()
     ties = (x[:, None] == y[None, :]).sum()
     return float((wins + 0.5 * ties) / (x.size * y.size))
 
 
-def bootstrap_ci(statistic: Callable[[np.ndarray], float], values,
+def bootstrap_ci(statistic: Callable[[np.ndarray], np.ndarray], values,
                  n_resamples: int = 2000, confidence: float = 0.95,
                  rng: np.random.Generator | None = None) -> tuple[float, float]:
     """Percentile bootstrap interval for ``statistic`` over the scores.
 
+    ``statistic`` is called once, on the ``(n_resamples, n)`` matrix of
+    resampled scores, and must reduce its last axis: it returns one
+    value per row, as :func:`iqm` and :func:`optimality_gap` do.
     Resampling is driven by ``rng`` (a fresh default generator when
     None), so intervals reproduce exactly for a fixed seed.
     """
-    if n_resamples < 100:
-        raise ValueError(f"need at least 100 resamples, got {n_resamples}")
+    if n_resamples < MIN_RESAMPLES:
+        raise ValueError(f"need at least {MIN_RESAMPLES} resamples, got {n_resamples}")
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    arr = _scores(values)
+    arr = _scores(values).ravel()
     if rng is None:
         rng = np.random.default_rng()
     idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))
-    samples = np.array([statistic(arr[row]) for row in idx])
+    samples = np.asarray(statistic(arr[idx]), dtype=float)
+    if samples.shape != (n_resamples,):
+        raise ValueError(f"statistic must return one value per resample, "
+                         f"expected shape ({n_resamples},), got {samples.shape}")
     tail = 100.0 * (1.0 - confidence) / 2.0
     lo, hi = np.percentile(samples, [tail, 100.0 - tail])
     return float(lo), float(hi)

@@ -2,7 +2,10 @@
 
 Everything here works on lists, sets and dicts, with the statistics
 module doing the arithmetic, so numerical and structural mistakes in the
-numpy implementation cannot hide behind shared code.
+numpy implementation cannot hide behind shared code.  The bootstrap
+reference is the exception: it is the former one-row-at-a-time numpy
+loop, kept so the batched ``stats.bootstrap_ci`` can be checked against
+it bit for bit.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import math
 import statistics
 from typing import NamedTuple
+
+import numpy as np
 
 ZERO_STD = 1e-12
 
@@ -151,3 +156,24 @@ def ref_global_leaf(n_objectives: int, edges: set[tuple[int, int]],
                     survivors: dict[int, set[int]]) -> set[int]:
     leaves = [o for o in range(n_objectives) if not any(h == o for h, l in edges)]
     return ref_aggregate([survivors[leaf] for leaf in sorted(leaves)])
+
+
+def ref_iqm(row: np.ndarray) -> float:
+    arr = np.sort(row)
+    k = arr.size // 4
+    return float(arr[k: arr.size - k].mean())
+
+
+def ref_optimality_gap(row: np.ndarray, target: float = 1.0) -> float:
+    return float(np.maximum(0.0, target - row).mean())
+
+
+def ref_bootstrap_ci(statistic, values, n_resamples: int, confidence: float,
+                     rng: np.random.Generator) -> tuple[float, float]:
+    """Percentile bootstrap calling ``statistic`` once per resample row."""
+    arr = np.asarray(values, dtype=float).ravel()
+    idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))
+    samples = np.array([statistic(arr[row]) for row in idx])
+    tail = 100.0 * (1.0 - confidence) / 2.0
+    lo, hi = np.percentile(samples, [tail, 100.0 - tail])
+    return float(lo), float(hi)

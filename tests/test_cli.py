@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from preorder_rl.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_OK, EXIT_SHAPE, main
+from preorder_rl.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_OK, EXIT_SHAPE, _build_parser, main
 from preorder_rl.artifacts import save_quantile_csv
 from preorder_rl.comparators import ComparatorConfig, QuantileMatrix
 from preorder_rl.preorder import build_graph
+from preorder_rl.runner import run_stats
 from preorder_rl.selection import select
 
 
@@ -234,6 +236,28 @@ def test_shape_problems_exit_4(tmp_path, capsys) -> None:
     stats_ok = main(["stats", "--scores", str(scores), "--out", out,
                      "--resamples", "99"])
     assert stats_ok == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(("flag", "message"), [
+    ("--seed=-1", "seed: expected an integer >= 0, got -1"),
+    ("--resamples=10", "n_resamples: expected an integer >= 100, got 10"),
+    ("--gap-target=nan", "gap_target must be finite, got nan")])
+def test_bad_stats_setting_exits_2_before_anything_is_written(tmp_path, capsys, flag,
+                                                              message) -> None:
+    scores = tmp_path / "scores.csv"
+    scores.write_text("algorithm,seed,run,score\nonly,0,0,1.0\n")
+    out = tmp_path / "out"
+    assert main(["stats", "--scores", str(scores), "--out", str(out), flag]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stats_flags_default_to_run_stats_defaults() -> None:
+    args = _build_parser().parse_args(["stats", "--scores", "s.csv", "--out", "o"])
+    defaults = {name: p.default for name, p in inspect.signature(run_stats).parameters.items()
+                if p.default is not inspect.Parameter.empty}
+    assert defaults == {"seed": args.seed, "n_resamples": args.resamples,
+                        "gap_target": args.gap_target}
 
 
 def test_non_numeric_cell_exits_4_naming_file_and_line(tmp_path, capsys) -> None:

@@ -59,6 +59,12 @@ def test_comparator_config_validation() -> None:
         ComparatorConfig(mv_lambda=-1.0)
 
 
+@pytest.mark.parametrize("field", ["epsilon", "cvar_alpha", "mv_lambda"])
+def test_comparator_integer_beyond_float_range_is_a_config_error(field) -> None:
+    with pytest.raises(ConfigError, match=f"^{field} "):
+        ComparatorConfig(**{field: 10**400})
+
+
 def test_zscore_rejects_a_spread_that_overflows() -> None:
     # The squared deviations overflow float64, so std is not finite; the
     # scores would all be zero and the dominated action would survive.

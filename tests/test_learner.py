@@ -102,6 +102,13 @@ def test_each_setting_takes_one_form(field, value) -> None:
         LearnerConfig(**{**good, field: value})
 
 
+@pytest.mark.parametrize("field", ["gammas", "learning_rate", "huber_kappa", "initial_value"])
+def test_integer_beyond_float_range_is_a_config_error(field) -> None:
+    huge = (10**400,) if field == "gammas" else 10**400
+    with pytest.raises(ConfigError, match=f"^{field} must be finite, got an integer beyond"):
+        LearnerConfig(**{"n_objectives": 1, "gammas": (0.9,), field: huge})
+
+
 def test_head_count_per_mode() -> None:
     assert LearnerConfig(n_objectives=3, gammas=(0.9,) * 3).n_heads == 3
     assert LearnerConfig(n_objectives=3, gammas=(0.9,) * 3,

@@ -8,6 +8,14 @@ import pytest
 from preorder_rl.plots import interval_plot_svg
 from preorder_rl.stats import bootstrap_ci, iqm, optimality_gap, prob_improvement
 
+from ._reference import ref_bootstrap_ci, ref_iqm, ref_optimality_gap
+
+
+def _tie_heavy(rng: np.random.Generator, shape) -> np.ndarray:
+    """Scores around 0.8 rounded to 0-2 decimals, so many values tie."""
+    decimals = int(rng.integers(0, 3))
+    return np.round(rng.normal(loc=0.8, scale=0.5, size=shape), decimals)
+
 
 def test_iqm_drops_a_quarter_from_each_end() -> None:
     assert iqm([1, 2, 3, 4, 5, 6, 7, 8]) == 4.5
@@ -87,6 +95,66 @@ def test_bootstrap_ci_validation() -> None:
         bootstrap_ci(iqm, [1.0, 2.0], n_resamples=10)
     with pytest.raises(ValueError):
         bootstrap_ci(iqm, [1.0, 2.0], confidence=1.5)
+
+
+def test_batched_statistics_equal_the_per_row_calls() -> None:
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        matrix = _tie_heavy(rng, (int(rng.integers(1, 20)), n))
+        target = float(rng.choice([0.5, 1.0, 1.5]))
+        rows_iqm = iqm(matrix)
+        rows_gap = optimality_gap(matrix, target)
+        assert rows_iqm.shape == rows_gap.shape == (matrix.shape[0],)
+        for i, row in enumerate(matrix):
+            assert isinstance(iqm(row), float)
+            assert rows_iqm[i] == iqm(row) == ref_iqm(row)
+            assert rows_gap[i] == optimality_gap(row, target) == ref_optimality_gap(row, target)
+    cube = _tie_heavy(rng, (3, 4, 9))
+    assert iqm(cube).shape == optimality_gap(cube).shape == (3, 4)
+    assert iqm(cube)[2, 1] == iqm(cube[2, 1])
+
+
+def test_bootstrap_ci_matches_the_per_resample_reference() -> None:
+    rng = np.random.default_rng(19)
+    for case in range(600):
+        scores = _tie_heavy(rng, int(rng.integers(1, 40)))
+        n_resamples = int(rng.integers(100, 400))
+        confidence = float(rng.choice([0.5, 0.9, 0.95, 0.99]))
+        target = float(rng.choice([0.5, 1.0, 1.5]))
+        if case % 2:
+            statistic, reference = iqm, ref_iqm
+        else:
+            def statistic(s):
+                return optimality_gap(s, target)
+
+            def reference(s):
+                return ref_optimality_gap(s, target)
+        seed = int(rng.integers(2**32))
+        got = bootstrap_ci(statistic, scores, n_resamples, confidence,
+                           rng=np.random.default_rng(seed))
+        want = ref_bootstrap_ci(reference, scores, n_resamples, confidence,
+                                rng=np.random.default_rng(seed))
+        assert got == want
+
+
+def test_bootstrap_ci_calls_the_statistic_once_on_the_resample_matrix() -> None:
+    seen = []
+
+    def statistic(resamples):
+        seen.append(resamples)
+        return resamples.mean(axis=-1)
+
+    bootstrap_ci(statistic, [0.1, 0.4, 0.9, 1.2, 0.7], n_resamples=300,
+                 rng=np.random.default_rng(1))
+    assert len(seen) == 1
+    assert seen[0].shape == (300, 5)
+
+
+def test_bootstrap_ci_rejects_a_statistic_that_does_not_reduce_rows() -> None:
+    with pytest.raises(ValueError, match="one value per resample"):
+        bootstrap_ci(lambda s: float(s.mean()), [1.0, 2.0, 3.0], n_resamples=100,
+                     rng=np.random.default_rng(0))
 
 
 def test_interval_plot_lists_every_label() -> None:
