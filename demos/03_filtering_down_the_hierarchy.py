@@ -27,9 +27,8 @@ matrices = [
     profile([[0.8, 1.0], [0.8, 1.0], [0.1, 0.3], [1.0, 1.0]]),     # progress
     profile([[0.0, 0.0], [-0.4, -0.2], [0.0, 0.0], [0.0, 0.0]]),   # comfort
 ]
-configs = [ComparatorConfig("qd", epsilon=0.2) for _ in range(3)]
-
-state = select(graph, matrices, configs)
+# One comparator config scores and thresholds every objective.
+state = select(graph, matrices, ComparatorConfig("qd", epsilon=0.2))
 print("survivors per objective")
 for objective in range(3):
     print(f"  objective {objective}: {sorted(state.survivors[objective])}")

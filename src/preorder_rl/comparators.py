@@ -14,12 +14,11 @@ entry points are its one-head case.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, ShapeMismatch, _real
 
 ZERO_VARIANCE_STD = 1e-12
 
@@ -106,12 +105,12 @@ class ComparatorConfig:
     def __post_init__(self) -> None:
         if self.kind not in COMPARATOR_KINDS:
             raise ConfigError(f"unknown comparator kind {self.kind!r}, expected one of {COMPARATOR_KINDS}")
-        if not (abs(self.epsilon) <= sys.float_info.max and self.epsilon >= 0.0):
-            raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if not (0.0 < self.cvar_alpha <= 1.0):
+        if not _real(self.epsilon, "epsilon") >= 0.0:
+            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0.0 < _real(self.cvar_alpha, "cvar_alpha") <= 1.0:
             raise ConfigError(f"cvar_alpha must lie in (0, 1], got {self.cvar_alpha}")
-        if not (abs(self.mv_lambda) <= sys.float_info.max and self.mv_lambda >= 0.0):
-            raise ConfigError(f"mv_lambda must be finite and >= 0, got {self.mv_lambda}")
+        if not _real(self.mv_lambda, "mv_lambda") >= 0.0:
+            raise ConfigError(f"mv_lambda must be >= 0, got {self.mv_lambda}")
 
 
 @dataclass(frozen=True)
@@ -218,8 +217,11 @@ def classify_pairs(matrix: QuantileMatrix, config: ComparatorConfig) -> Pairwise
     A pair whose absolute gap is within ``config.epsilon`` yields no
     verdict in either direction, so the diagonal (gap 0) stays clear.
     """
-    scores = action_scores(matrix, config)
-    gap = scores[:, None] - scores[None, :]
-    dom = gap > config.epsilon
-    dom_by = gap < -config.epsilon
-    return PairwiseDecision(dom, dom_by)
+    return PairwiseDecision(*_verdicts(action_scores(matrix, config), config.epsilon))
+
+
+def _verdicts(scores: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """(..., actions) scores to (..., actions, actions) verdicts: ``above[..., a, b]``
+    says a beats b by more than ``epsilon``, ``below[..., a, b]`` that b beats a."""
+    gap = scores[..., :, None] - scores[..., None, :]
+    return gap > epsilon, gap < -epsilon

@@ -32,14 +32,12 @@ and ``train`` adds the episode to the message.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .comparators import ComparatorConfig, QuantileMatrix, _last_axis_mean, midpoint_fractions
-from .errors import ConfigError, EmptySetError
+from .errors import ConfigError, EmptySetError, _integer, _real
 from .preorder import PreorderGraph
 from .selection import SelectionState, global_leaf_survivors, sample_action, select
 
@@ -59,9 +57,9 @@ class EpsilonSchedule:
     decay_episodes: int = 1
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.end <= self.start <= 1.0):
+        if not (0.0 <= _real(self.end, "end") <= _real(self.start, "start") <= 1.0):
             raise ConfigError(f"need 0 <= end <= start <= 1, got start={self.start} end={self.end}")
-        if self.decay_episodes < 1:
+        if _integer(self.decay_episodes, "decay_episodes") < 1:
             raise ConfigError(f"decay_episodes must be >= 1, got {self.decay_episodes}")
 
     def value(self, episode: int) -> float:
@@ -69,26 +67,10 @@ class EpsilonSchedule:
         return self.start + (self.end - self.start) * frac
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _real(value, name: str) -> float:
-    """``value`` as one finite float; a non-real, a bool, NaN, an infinity
-    or an integer beyond float range raises, naming ``name``."""
-    if not _is_real(value):
-        raise ConfigError(f"{name} must be one real number, got {value!r}")
-    # Not float() or np.isfinite first: both fail on an integer beyond float range.
-    if not abs(value) <= sys.float_info.max:
-        shown = "an integer beyond float range" if isinstance(value, numbers.Integral) else value
-        raise ConfigError(f"{name} must be finite, got {shown}")
-    return float(value)
-
-
 def _reals(values, name: str, count: int) -> tuple[float, ...]:
     """``values`` as ``count`` finite floats; a string, a bare number or a
     bool entry raises, naming ``name``."""
-    if not isinstance(values, (list, tuple, np.ndarray)) or not all(map(_is_real, values)):
+    if not isinstance(values, (list, tuple, np.ndarray)):
         raise ConfigError(f"{name} must be a sequence of real numbers, got {values!r}")
     if len(values) != count:
         raise ConfigError(f"expected {count} {name}, got {len(values)}")
@@ -127,7 +109,7 @@ class LearnerConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.n_objectives < 1:
+        if _integer(self.n_objectives, "n_objectives") < 1:
             raise ConfigError(f"need at least one objective, got {self.n_objectives}")
         self.gammas = _reals(self.gammas, "gammas", self.n_objectives)
         if any(not (0.0 <= g < 1.0) for g in self.gammas):
@@ -136,10 +118,12 @@ class LearnerConfig:
         if not self.learning_rate > 0.0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.learning_rate_end is not None and not (
-                0.0 < self.learning_rate_end <= self.learning_rate):
+                0.0 < _real(self.learning_rate_end, "learning_rate_end") <= self.learning_rate):
             raise ConfigError(f"learning_rate_end must lie in (0, learning_rate], "
                               f"got {self.learning_rate_end}")
-        if self.quantile_count < 1:
+        if not isinstance(self.epsilon, EpsilonSchedule):
+            raise ConfigError(f"epsilon must be one EpsilonSchedule, got {self.epsilon!r}")
+        if _integer(self.quantile_count, "quantile_count") < 1:
             raise ConfigError(f"quantile_count must be >= 1, got {self.quantile_count}")
         self.huber_kappa = _real(self.huber_kappa, "huber_kappa")
         if self.huber_kappa < 0.0:
@@ -151,6 +135,8 @@ class LearnerConfig:
             raise ConfigError("weighted-sum mode needs weights")
         if not isinstance(self.comparator, ComparatorConfig):
             raise ConfigError(f"comparator must be one ComparatorConfig, got {self.comparator!r}")
+        if not isinstance(self.training_preorder, bool):
+            raise ConfigError(f"training_preorder must be a bool, got {self.training_preorder!r}")
 
     @property
     def n_heads(self) -> int:

@@ -13,7 +13,6 @@ so the steps can run in separate processes or sessions.
 from __future__ import annotations
 
 import json
-import numbers
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +23,8 @@ from .artifacts import (SCORE_HEADER, load_scores, load_tensor, parse_rows, read
 from .comparators import ComparatorConfig, QuantileMatrix
 from .config import RunConfig, Variant, _seeds, config_hash, parse_config
 from .envs import make_env
-from .errors import ConfigError, ShapeMismatch
-from .learner import WEIGHTED_SUM, _check_env, _real, evaluate, train
+from .errors import ConfigError, ShapeMismatch, _integer, _real
+from .learner import WEIGHTED_SUM, _check_env, evaluate, train
 from .plots import interval_plot_svg
 from .preorder import PreorderGraph
 from .selection import global_leaf_survivors, select
@@ -245,7 +244,7 @@ def run_stats(scores_path, out_dir, seed: int = 0, n_resamples: int = 2000,
     """
     for name, value, least in (("seed", seed, 0),
                                ("n_resamples", n_resamples, stats_mod.MIN_RESAMPLES)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        if _integer(value, name) < least:
             raise ConfigError(f"{name}: expected an integer >= {least}, got {value!r}")
     gap_target = _real(gap_target, "gap_target")
     grouped = load_scores(scores_path)

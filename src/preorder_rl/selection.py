@@ -8,18 +8,19 @@ survivors that no other inherited survivor still dominates.  The leaf
 survivor sets, merged through a virtual global leaf, are the actions a
 policy may play.
 
-:func:`select` scores every head in one vectorized
-:func:`~preorder_rl.comparators.score_heads` call per comparator config,
-thresholds all pairwise score gaps of a group at once, and hands the
-verdicts to :func:`filter_verdicts`, the one survivor walk in the
-package; :func:`~preorder_rl.relations.oracle_survivors` runs the same
-walk on verdicts from exact rewards.  The verdict recursion has a closed
-form: a pair takes an objective's own verdict exactly when no strict
-ancestor decided it, so three boolean matrix products with the graph's
-transitive closure give every objective's verdicts at once.  Only the
-survivor walk stays sequential; it tests each inherited action against
-a Python-int bitmask of the actions that beat it and merges parent sets
-with :func:`aggregate_survivor_sets`.
+:func:`select` scores every head under one comparator config, one
+vectorized :func:`~preorder_rl.comparators.score_heads` call per shape,
+thresholds all pairwise score gaps at once with the rule of
+:func:`~preorder_rl.comparators.classify_pairs`, and hands the verdicts
+to :func:`filter_verdicts`, the one survivor walk in the package;
+:func:`~preorder_rl.relations.oracle_survivors` runs the same walk on
+verdicts from exact rewards.  The verdict recursion has a closed form: a
+pair takes an objective's own verdict exactly when no strict ancestor
+decided it, so three boolean matrix products with the graph's transitive
+closure give every objective's verdicts at once.  Only the survivor walk
+stays sequential; it tests each inherited action against a Python-int
+bitmask of the actions that beat it and merges parent sets with
+:func:`aggregate_survivor_sets`.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comparators import ComparatorConfig, QuantileMatrix, score_heads
+from .comparators import ComparatorConfig, QuantileMatrix, _verdicts, score_heads
 # perfbench/tracer.py wraps these names here; select itself no longer calls them.
 from .comparators import action_scores, classify_pairs  # noqa: F401
-from .errors import EmptySetError, ShapeMismatch
+from .errors import ConfigError, EmptySetError, ShapeMismatch
 from .preorder import PreorderGraph
 
 _log = logging.getLogger(__name__)
@@ -43,14 +44,16 @@ _log = logging.getLogger(__name__)
 class SelectionState:
     """Filter output: per-objective verdict matrices and survivor sets.
 
-    ``fallbacks`` lists the objectives where comparator verdicts left no
-    inherited survivor standing and the best-scored inherited survivors
-    were retained instead.  ``mask`` is ``survivors`` as an
-    (objectives, actions) boolean array.
+    ``dom`` and ``dom_by`` are (objectives, actions, actions) booleans:
+    ``dom[obj, a, b]`` says a dominates b at ``obj``, ``dom_by[obj, a, b]``
+    that b dominates a, inherited verdicts included.  ``fallbacks`` lists
+    the objectives where comparator verdicts left no inherited survivor
+    standing and the best-scored inherited survivors were kept instead.
+    ``mask`` is ``survivors`` as an (objectives, actions) boolean array.
     """
 
-    dom: dict[int, np.ndarray]
-    dom_by: dict[int, np.ndarray]
+    dom: np.ndarray
+    dom_by: np.ndarray
     survivors: dict[int, frozenset[int]]
     fallbacks: tuple[int, ...]
     mask: np.ndarray
@@ -66,54 +69,41 @@ def aggregate_survivor_sets(sets: Sequence[frozenset[int]]) -> frozenset[int]:
     return merged if merged else frozenset.union(*sets)
 
 
-def _per_objective_configs(configs, n_objectives: int) -> list[ComparatorConfig]:
-    if isinstance(configs, ComparatorConfig):
-        return [configs] * n_objectives
-    configs = list(configs)
-    if len(configs) != n_objectives:
-        raise ShapeMismatch(f"expected {n_objectives} comparator configs, got {len(configs)}")
-    return configs
-
-
 def select(graph: PreorderGraph, quantiles: Sequence[QuantileMatrix],
-           configs: ComparatorConfig | Sequence[ComparatorConfig]) -> SelectionState:
+           config: ComparatorConfig) -> SelectionState:
     """Run the preorder filter on one quantile matrix per objective.
 
     Args:
         graph: priority preorder; objective i uses ``quantiles[i]``.
         quantiles: per-objective (quantiles, actions) matrices with a
-            shared action count.
-        configs: one comparator config for all objectives, or one per
-            objective.
+            shared action count; quantile counts may differ.
+        config: the one comparator config every objective is scored and
+            thresholded with.
 
     Returns:
         A :class:`SelectionState` with non-empty survivor sets for every
         objective.
     """
+    if not isinstance(config, ComparatorConfig):
+        raise ConfigError(f"config must be one ComparatorConfig, got {config!r}")
     n_objectives = graph.n_objectives
     if len(quantiles) != n_objectives:
         raise ShapeMismatch(f"expected {n_objectives} quantile matrices, got {len(quantiles)}")
     n_actions = quantiles[0].n_actions
     if any(m.n_actions != n_actions for m in quantiles):
         raise ShapeMismatch("quantile matrices disagree on the action count")
-    cfgs = _per_objective_configs(configs, n_objectives)
 
-    # Heads stack only with heads of the same config, shape and memory
-    # layout, so each is scored exactly as it would be on its own.
+    # Heads stack only with heads of the same shape and memory layout, so
+    # each is scored exactly as it would be on its own.
     groups: dict[tuple, list[int]] = {}
     for obj, m in enumerate(quantiles):
-        groups.setdefault((cfgs[obj], m.values.shape, m.values.strides), []).append(obj)
+        groups.setdefault((m.values.shape, m.values.strides), []).append(obj)
     scores = np.empty((n_objectives, n_actions))
-    above = np.empty((n_objectives, n_actions, n_actions), dtype=bool)
-    below = np.empty_like(above)
-    for (cfg, _, _), objs in groups.items():
+    for objs in groups.values():
         values = np.stack([quantiles[obj].values for obj in objs]).transpose(0, 2, 1)
-        scores[objs] = group_scores = score_heads(values, cfg)
-        gap = group_scores[:, :, None] - group_scores[:, None, :]
-        above[objs] = gap > cfg.epsilon
-        below[objs] = gap < -cfg.epsilon
+        scores[objs] = score_heads(values, config)
     # The diagonal stays clear: its gap is 0 and epsilon >= 0.
-    return filter_verdicts(graph, above, below, scores)
+    return filter_verdicts(graph, *_verdicts(scores, config.epsilon), scores)
 
 
 def filter_verdicts(graph: PreorderGraph, above: np.ndarray, below: np.ndarray,
@@ -163,8 +153,8 @@ def filter_verdicts(graph: PreorderGraph, above: np.ndarray, below: np.ndarray,
         survivors[obj] = kept
     mask = np.zeros(n_objectives * n_actions, dtype=bool)
     mask[[obj * n_actions + a for obj, kept in survivors.items() for a in kept]] = True
-    return SelectionState(dict(enumerate(dom)), dict(enumerate(dom_by)), survivors,
-                          tuple(fallbacks), mask.reshape(n_objectives, n_actions))
+    return SelectionState(dom, dom_by, survivors, tuple(fallbacks),
+                          mask.reshape(n_objectives, n_actions))
 
 
 def global_leaf_survivors(state: SelectionState, graph: PreorderGraph) -> frozenset[int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -81,14 +82,11 @@ def instance_sweep() -> dict:
                "empty": 0, "with_fallback": 0}
     started = time.perf_counter()
     for index in range(1000):
-        n_objectives, edges, matrices, configs = random_instance(rng)
+        n_objectives, edges, matrices, config = random_instance(rng)
         graph = build_graph(n_objectives, edges)
-        state = select(graph, [QuantileMatrix.from_values(m) for m in matrices],
-                       configs)
-        expected = ref_select(
-            n_objectives, set(edges), [m.tolist() for m in matrices],
-            [dict(kind=c.kind, epsilon=c.epsilon, cvar_alpha=c.cvar_alpha,
-                  mv_lambda=c.mv_lambda) for c in configs])
+        state = select(graph, [QuantileMatrix.from_values(m) for m in matrices], config)
+        expected = ref_select(n_objectives, set(edges), [m.tolist() for m in matrices],
+                              [asdict(config)] * n_objectives)
         if {o: set(s) for o, s in state.survivors.items()} != expected.survivors:
             summary["mismatches"].append(index)
         if (pair_sets(state.dom), pair_sets(state.dom_by)) != (expected.dom, expected.dom_by):
@@ -264,6 +262,7 @@ def test_bandit_probe_separates_the_aggregation_families() -> None:
     assert min(risky_fractions) >= 0.90
 
 
+@pytest.mark.slow
 def test_grid_direction_of_effect(grid_summary) -> None:
     means, elapsed = grid_summary
     pr = means["preorder-qd"]
@@ -279,6 +278,7 @@ def test_grid_direction_of_effect(grid_summary) -> None:
     assert elapsed < 600.0
 
 
+@pytest.mark.slow
 def test_grid_comparator_ablation(grid_summary) -> None:
     means, _ = grid_summary
     narrow = means["preorder-qd"]["success"]

@@ -102,6 +102,28 @@ def test_each_setting_takes_one_form(field, value) -> None:
         LearnerConfig(**{**good, field: value})
 
 
+def two_objectives(**kw) -> LearnerConfig:
+    return LearnerConfig(**{"n_objectives": 2, "gammas": (0.9, 0.9), **kw})
+
+
+@pytest.mark.parametrize(("make", "field", "value"), [
+    (ComparatorConfig, "epsilon", "0.1"),
+    (ComparatorConfig, "cvar_alpha", "0.5"),
+    (ComparatorConfig, "mv_lambda", "1"),
+    (EpsilonSchedule, "start", "1"),
+    (EpsilonSchedule, "decay_episodes", 2.5),
+    (two_objectives, "learning_rate_end", "0.05"),
+    (two_objectives, "quantile_count", 2.5),
+    (two_objectives, "quantile_count", True),
+    (two_objectives, "n_objectives", 2.0),
+    (two_objectives, "training_preorder", "no"),
+    (two_objectives, "epsilon", (1, 0.1, 5))])
+def test_setting_of_the_wrong_form_is_a_config_error_naming_it(make, field, value) -> None:
+    make()
+    with pytest.raises(ConfigError, match=f"^{field} "):
+        make(**{field: value})
+
+
 @pytest.mark.parametrize("field", ["gammas", "learning_rate", "huber_kappa", "initial_value"])
 def test_integer_beyond_float_range_is_a_config_error(field) -> None:
     huge = (10**400,) if field == "gammas" else 10**400

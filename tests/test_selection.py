@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
 from preorder_rl.comparators import ComparatorConfig, QuantileMatrix, action_scores, classify_pairs
-from preorder_rl.errors import EmptySetError, ShapeMismatch
+from preorder_rl.errors import ConfigError, EmptySetError, ShapeMismatch
 from preorder_rl.preorder import build_graph
 from preorder_rl.selection import (
     aggregate_survivor_sets,
@@ -102,7 +104,7 @@ def test_multi_parent_cycle_triggers_score_fallback() -> None:
         matrix([[1.0], [0.5], [0.0]]),
         matrix([[0.0], [0.0], [0.0]]),
     ]
-    state = select(graph, mats, [loose, loose, loose, QD])
+    state = select(graph, mats, loose)
     assert state.survivors[0] == frozenset({1, 2})
     assert state.survivors[1] == frozenset({0, 2})
     assert state.survivors[2] == frozenset({0, 1})
@@ -118,8 +120,8 @@ def test_select_validates_matrix_count_and_action_count() -> None:
         select(graph, [two], QD)
     with pytest.raises(ShapeMismatch):
         select(graph, [two, three], QD)
-    with pytest.raises(ShapeMismatch):
-        select(graph, [two, two], [QD])
+    with pytest.raises(ConfigError, match="^config "):
+        select(graph, [two, two], [QD, QD])
 
 
 def test_global_leaf_on_chain_is_last_objective() -> None:
@@ -185,29 +187,27 @@ def random_instance(rng: np.random.Generator):
     matrices = [rng.normal(size=(n_quantiles, n_actions)).round(3)
                 for _ in range(n_objectives)]
     kinds = ("qd", "cvar", "mv")
-    configs = [ComparatorConfig(kinds[int(rng.integers(3))],
-                                epsilon=float(rng.uniform(0.0, 0.5)),
-                                cvar_alpha=float(rng.uniform(0.1, 1.0)),
-                                mv_lambda=float(rng.uniform(0.0, 2.0)))
-               for _ in range(n_objectives)]
-    return n_objectives, edges, matrices, configs
+    config = ComparatorConfig(kinds[int(rng.integers(3))],
+                              epsilon=float(rng.uniform(0.0, 0.5)),
+                              cvar_alpha=float(rng.uniform(0.1, 1.0)),
+                              mv_lambda=float(rng.uniform(0.0, 2.0)))
+    return n_objectives, edges, matrices, config
 
 
-def pair_sets(verdicts: dict[int, np.ndarray]) -> dict[int, set[tuple[int, int]]]:
-    """Boolean verdict matrices as sets of (row, column) pairs."""
-    return {obj: {(a, b) for a, b in np.argwhere(m).tolist()} for obj, m in verdicts.items()}
+def pair_sets(verdicts: np.ndarray) -> dict[int, set[tuple[int, int]]]:
+    """(objectives, actions, actions) boolean verdicts as sets of
+    (row, column) pairs per objective."""
+    return {obj: {(a, b) for a, b in np.argwhere(m).tolist()} for obj, m in enumerate(verdicts)}
 
 
 def test_select_matches_plain_python_reference() -> None:
     rng = np.random.default_rng(515377)
     for _ in range(60):
-        n_objectives, edges, matrices, configs = random_instance(rng)
+        n_objectives, edges, matrices, config = random_instance(rng)
         graph = build_graph(n_objectives, edges)
-        state = select(graph, [QuantileMatrix.from_values(m) for m in matrices], configs)
-        expected = ref_select(
-            n_objectives, set(edges), [m.tolist() for m in matrices],
-            [dict(kind=c.kind, epsilon=c.epsilon, cvar_alpha=c.cvar_alpha,
-                  mv_lambda=c.mv_lambda) for c in configs])
+        state = select(graph, [QuantileMatrix.from_values(m) for m in matrices], config)
+        expected = ref_select(n_objectives, set(edges), [m.tolist() for m in matrices],
+                              [asdict(config)] * n_objectives)
         assert {o: set(s) for o, s in state.survivors.items()} == expected.survivors
         assert pair_sets(state.dom) == expected.dom
         assert pair_sets(state.dom_by) == expected.dom_by
@@ -219,9 +219,9 @@ def test_select_matches_plain_python_reference() -> None:
 def test_mask_marks_exactly_the_survivors() -> None:
     rng = np.random.default_rng(4242)
     for _ in range(200):
-        n_objectives, edges, matrices, configs = random_instance(rng)
+        n_objectives, edges, matrices, config = random_instance(rng)
         state = select(build_graph(n_objectives, edges),
-                       [QuantileMatrix.from_values(m) for m in matrices], configs)
+                       [QuantileMatrix.from_values(m) for m in matrices], config)
         assert state.mask.shape == (n_objectives, matrices[0].shape[1])
         assert state.mask.dtype == bool
         for obj in range(n_objectives):
@@ -248,9 +248,9 @@ def test_select_handles_more_actions_than_int64_has_bits() -> None:
 def test_survivors_never_empty_and_nested_in_inherited_set() -> None:
     rng = np.random.default_rng(90210)
     for _ in range(60):
-        n_objectives, edges, matrices, configs = random_instance(rng)
+        n_objectives, edges, matrices, config = random_instance(rng)
         graph = build_graph(n_objectives, edges)
-        state = select(graph, [QuantileMatrix.from_values(m) for m in matrices], configs)
+        state = select(graph, [QuantileMatrix.from_values(m) for m in matrices], config)
         for obj in range(n_objectives):
             assert state.survivors[obj]
             parents = sorted(graph.parents(obj))
@@ -276,12 +276,12 @@ def test_chain_survivors_shrink_monotonically() -> None:
 def test_permuting_actions_permutes_survivors() -> None:
     rng = np.random.default_rng(555)
     for _ in range(30):
-        n_objectives, edges, matrices, configs = random_instance(rng)
+        n_objectives, edges, matrices, config = random_instance(rng)
         graph = build_graph(n_objectives, edges)
-        base = select(graph, [QuantileMatrix.from_values(m) for m in matrices], configs)
+        base = select(graph, [QuantileMatrix.from_values(m) for m in matrices], config)
         perm = rng.permutation(matrices[0].shape[1])
         shuffled = select(graph, [QuantileMatrix.from_values(m[:, perm]) for m in matrices],
-                          configs)
+                          config)
         for obj in range(n_objectives):
             relabeled = frozenset(int(np.flatnonzero(perm == a)[0])
                                   for a in base.survivors[obj])
@@ -306,21 +306,35 @@ def test_unordered_objectives_keep_each_matrix_own_verdicts(layout) -> None:
         if layout != "tensor":
             mats = [QuantileMatrix.from_values(np.ascontiguousarray(m.values))
                     if layout == "c-order" or rng.random() < 0.5 else m for m in mats]
-        # The shared epsilon is a gap one matrix shows alone, so that pair
-        # sits on the verdict boundary, where one ulp of score decides.
+        # The epsilon is a gap one matrix shows alone, so that pair sits
+        # on the verdict boundary, where one ulp of score decides.
         edge = int(rng.integers(n_objectives))
-        kind = kinds[int(rng.integers(3))]
-        edge_scores = action_scores(mats[edge], ComparatorConfig(kind))
+        base = ComparatorConfig(kinds[int(rng.integers(3))],
+                                cvar_alpha=float(rng.uniform(0.1, 1.0)),
+                                mv_lambda=float(rng.uniform(0.0, 2.0)))
+        edge_scores = action_scores(mats[edge], base)
         a, b = rng.choice(n_actions, size=2, replace=False)
-        shared = ComparatorConfig(kind, epsilon=float(abs(edge_scores[a] - edge_scores[b])))
-        configs = [shared if obj == edge or rng.random() < 0.5 else
-                   ComparatorConfig(kinds[int(rng.integers(3))],
-                                    epsilon=float(rng.uniform(0.0, 0.5)),
-                                    cvar_alpha=float(rng.uniform(0.1, 1.0)),
-                                    mv_lambda=float(rng.uniform(0.0, 2.0)))
-                   for obj in range(n_objectives)]
-        state = select(build_graph(n_objectives, []), mats, configs)
+        config = replace(base, epsilon=float(abs(edge_scores[a] - edge_scores[b])))
+        state = select(build_graph(n_objectives, []), mats, config)
         for obj in range(n_objectives):
-            alone = classify_pairs(mats[obj], configs[obj])
+            alone = classify_pairs(mats[obj], config)
+            assert np.array_equal(state.dom[obj], alone.dom)
+            assert np.array_equal(state.dom_by[obj], alone.dom_by)
+
+
+@pytest.mark.parametrize("kind", ["qd", "cvar", "mv"])
+def test_roots_with_different_quantile_counts_keep_each_matrix_own_verdicts(kind) -> None:
+    # Matrices of different quantile counts cannot stack, so select scores
+    # them in separate groups; each root still gets its matrix's own verdicts.
+    rng = np.random.default_rng(1949)
+    for _ in range(50):
+        n_actions = int(rng.integers(2, 7))
+        mats = [QuantileMatrix.from_values(rng.normal(size=(k, n_actions))) for k in (1, 4, 9)]
+        config = ComparatorConfig(kind, epsilon=float(rng.uniform(0.0, 0.5)),
+                                  cvar_alpha=float(rng.uniform(0.1, 1.0)),
+                                  mv_lambda=float(rng.uniform(0.0, 2.0)))
+        state = select(build_graph(3, []), mats, config)
+        for obj, m in enumerate(mats):
+            alone = classify_pairs(m, config)
             assert np.array_equal(state.dom[obj], alone.dom)
             assert np.array_equal(state.dom_by[obj], alone.dom_by)
