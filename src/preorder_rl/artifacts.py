@@ -74,16 +74,22 @@ def parse_rows(path, rows: list[list[str]], parse) -> list:
 
 def save_tensor(tensor: QuantileTensor, path) -> None:
     """Write the tensor as ``objective,state,action,k,value`` rows in C
-    order, formatting one state's (actions, quantiles) block at a time."""
+    order.
+
+    Each (head, state) block of (actions, quantiles) values is formatted
+    by one ``%`` pass over a template of its rows, whose ``%r`` is the
+    ``repr`` of each float.  The blocks are written one at a time, so the
+    text of the whole file is never held in memory at once.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    prefixes = [f"{a},{k}," for a in range(tensor.n_actions) for k in range(tensor.n_quantiles)]
+    cells = [f"{a},{k},%r\r\n" for a in range(tensor.n_actions) for k in range(tensor.n_quantiles)]
     with path.open("w", newline="") as handle:
         handle.write(TENSOR_HEADER + "\r\n")
         for head, states in enumerate(tensor.values):
             for state, block in enumerate(states):
-                handle.write("".join(f"{head},{state},{c}{v!r}\r\n"
-                                     for c, v in zip(prefixes, block.ravel().tolist())))
+                prefix = f"{head},{state},"
+                handle.write((prefix + prefix.join(cells)) % tuple(block.ravel().tolist()))
 
 
 def load_tensor(path, shape: tuple[int, int, int, int]) -> QuantileTensor:

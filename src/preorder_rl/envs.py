@@ -30,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError, InvalidAction
+from .errors import ConfigError, InvalidAction, _integer
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class EnvSpec:
     params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.episode_cap < 1:
+        if _integer(self.episode_cap, "episode_cap") < 1:
             raise ConfigError(f"episode_cap must be >= 1, got {self.episode_cap}")
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 

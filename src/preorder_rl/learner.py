@@ -320,6 +320,12 @@ def _check_env(env, config: LearnerConfig, graph: PreorderGraph) -> None:
         raise ConfigError(
             f"objective counts disagree: env {env.n_objectives}, "
             f"config {config.n_objectives}, preorder {graph.n_objectives}")
+    cells = config.n_heads * env.n_states * env.n_actions * config.quantile_count
+    # The tensor holds 8-byte floats; numpy cannot index past intp's range.
+    if cells * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(
+            f"quantile_count: {config.quantile_count} quantiles for {config.n_heads} heads x "
+            f"{env.n_states} states x {env.n_actions} actions is a tensor numpy cannot address")
 
 
 def _run_episode(env, tensor, config, graph, rng, episode, epsilon,

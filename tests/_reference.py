@@ -5,7 +5,9 @@ module doing the arithmetic, so numerical and structural mistakes in the
 numpy implementation cannot hide behind shared code.  The bootstrap
 reference is the exception: it is the former one-row-at-a-time numpy
 loop, kept so the batched ``stats.bootstrap_ci`` can be checked against
-it bit for bit.
+it bit for bit.  ``ref_tensor_csv`` is the plain one-row-at-a-time
+tensor writer, kept so ``artifacts.save_tensor`` can be checked against
+it byte for byte.
 """
 
 from __future__ import annotations
@@ -177,3 +179,9 @@ def ref_bootstrap_ci(statistic, values, n_resamples: int, confidence: float,
     tail = 100.0 * (1.0 - confidence) / 2.0
     lo, hi = np.percentile(samples, [tail, 100.0 - tail])
     return float(lo), float(hi)
+
+
+def ref_tensor_csv(values: np.ndarray) -> str:
+    """The text of a ``tensor.csv`` holding ``values``, one row per cell."""
+    return "objective,state,action,k,value\r\n" + "".join(
+        f"{h},{s},{a},{k},{float(v)!r}\r\n" for (h, s, a, k), v in np.ndenumerate(values))

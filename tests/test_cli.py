@@ -329,6 +329,16 @@ def test_objective_count_mismatch_fails_before_train_writes(tmp_path, capsys) ->
     assert list(out.iterdir()) == []
 
 
+def test_unaddressable_quantile_count_exits_2_before_train_writes(tmp_path, capsys) -> None:
+    # A valid integer, but its tensor is beyond numpy's index range.
+    config = write_config(tmp_path, learner={"gammas": 0.9, "quantile_count": 10**400})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert "quantile_count" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_non_scalar_env_param_exits_2_and_names_the_field(tmp_path, capsys) -> None:
     config = write_config(tmp_path, env={"name": "crossing-grid", "params": {"width": [1]}})
     code = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])

@@ -55,6 +55,13 @@ def test_env_spec_validates_cap_and_freezes_params() -> None:
         spec.params["length"] = 9  # type: ignore[index]
 
 
+@pytest.mark.parametrize("cap", [2.5, True, "3"], ids=["float", "bool", "string"])
+def test_env_spec_rejects_a_cap_that_is_not_an_integer(cap) -> None:
+    # Accepted, a float cap would fail later in range() and True would cap at 1.
+    with pytest.raises(ConfigError, match="episode_cap must be one integer"):
+        EnvSpec("chain-mdp", episode_cap=cap)
+
+
 def test_bandit_safe_arm_is_deterministic() -> None:
     env = make_env(EnvSpec("conflict-bandit"))
     rng = np.random.default_rng(1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +30,8 @@ from preorder_rl.learner import (
 )
 from preorder_rl.preorder import PreorderGraph, build_graph
 from preorder_rl.selection import select
+
+from ._reference import ref_tensor_csv
 
 ONE = build_graph(1, [])
 CHAIN2 = build_graph(2, [(0, 1)])
@@ -613,6 +616,35 @@ def test_tensor_csv_roundtrip(tmp_path) -> None:
     loaded = load_tensor(path, (2, 3, 4, 5))
     assert loaded.values.tobytes() == tensor.values.tobytes()
     assert np.array_equal(loaded.fractions, tensor.fractions)
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-5,
+               0.1 + 0.2]
+
+
+@pytest.mark.parametrize("shape", [(2, 101, 3, 12), (3, 4, 2, 1), (2, 3, 1, 4), (1, 1, 1, 1)],
+                         ids=["multi-digit", "one-quantile", "one-action", "one-cell"])
+def test_tensor_csv_bytes_match_the_per_row_reference(tmp_path, shape) -> None:
+    rng = np.random.default_rng(9)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+    values.flat[:len(EDGE_VALUES)] = EDGE_VALUES[:values.size]
+    path = tmp_path / "tensor.csv"
+    save_tensor(QuantileTensor(values, midpoint_fractions(shape[3])), path)
+    assert path.read_bytes() == ref_tensor_csv(values).encode()
+
+
+def test_tensor_writer_holds_one_block_in_memory(tmp_path) -> None:
+    # A grid-shaped tensor: 112,000 rows, 3.4 MB of text.  A writer that
+    # built the whole file as one string would peak above the bound.
+    tensor = QuantileTensor(np.random.default_rng(10).normal(size=(5, 560, 5, 8)),
+                            midpoint_fractions(8))
+    tracemalloc.start()
+    try:
+        save_tensor(tensor, tmp_path / "tensor.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_tensor_loader_rejects_bad_files(tmp_path) -> None:
