@@ -77,50 +77,91 @@ def save_tensor(tensor: QuantileTensor, path) -> None:
     order.
 
     Each (head, state) block of (actions, quantiles) values is formatted
-    by one ``%`` pass over a template of its rows, whose ``%r`` is the
-    ``repr`` of each float.  The blocks are written one at a time, so the
-    text of the whole file is never held in memory at once.
+    as bytes by one ``%`` pass over a template of its rows, whose ``%a``
+    is the ``repr`` of each float and whose ``b"\\0"`` sentinels, which
+    no index or float repr contains, stand where the ``head,state,``
+    prefix goes.  A block whose bytes equal the previous block's reuses
+    its text, as the many states a run never reaches still hold
+    ``initial_value``; the key is the exact bytes, so ``-0.0`` never
+    reuses ``0.0``.  The blocks are written one at a time, so the text
+    of the whole file is never held in memory at once.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    cells = [f"{a},{k},%r\r\n" for a in range(tensor.n_actions) for k in range(tensor.n_quantiles)]
-    with path.open("w", newline="") as handle:
-        handle.write(TENSOR_HEADER + "\r\n")
+    template = b"\0" + b"\0".join(b"%d,%d,%%a\r\n" % (a, k) for a in range(tensor.n_actions)
+                                  for k in range(tensor.n_quantiles))
+    last = text = None
+    with path.open("wb") as handle:
+        handle.write(TENSOR_HEADER.encode() + b"\r\n")
         for head, states in enumerate(tensor.values):
             for state, block in enumerate(states):
-                prefix = f"{head},{state},"
-                handle.write((prefix + prefix.join(cells)) % tuple(block.ravel().tolist()))
+                raw = block.tobytes()
+                if raw != last:
+                    last, text = raw, template % tuple(block.ravel().tolist())
+                handle.write(text.replace(b"\0", b"%d,%d," % (head, state)))
+
+
+# One tensor.csv row: the four integer index cells, then the value.
+_TENSOR_ROW = np.dtype([("index", np.intp, (4,)), ("value", np.float64)])
+
+
+def _first_rejected_line(path: Path) -> tuple[int, str]:
+    """The number and text of the first line of ``path`` that
+    ``np.loadtxt`` rejects as a tensor row, found by bisecting on prefixes
+    of the body.  A good row heads every prefix, so none parses as empty."""
+    lines = path.read_text(errors="replace").split("\n")
+    good, bad = 1, len(lines)  # lines[1:good] parse, lines[1:bad] do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            np.loadtxt(["0,0,0,0,0", *lines[1:mid]], delimiter=",", dtype=_TENSOR_ROW)
+            good = mid
+        except ValueError:
+            bad = mid
+    return bad, lines[bad - 1]
 
 
 def load_tensor(path, shape: tuple[int, int, int, int]) -> QuantileTensor:
     """Read a tensor written by :func:`save_tensor` whose (heads, states,
     actions, quantiles) shape must be ``shape``.
 
+    Each row is parsed as four integer index cells and a float value, so
+    an index written as ``1.0`` or ``1e0`` is rejected.  The values are
+    returned as a C-contiguous float64 array.
+
     Raises:
         MissingArtifact: the file is absent.
-        ShapeMismatch: the header, a row's width or the index columns
-            disagree with ``shape``; names the file and first bad line.
+        ShapeMismatch: the header, a row's width or cells, or the index
+            columns disagree with ``shape``; names the file and first bad
+            line.
         ValueError: a value is not finite.
     """
     path = Path(path)
     if not path.exists():
         raise MissingArtifact(f"no tensor at {path}")
-    with path.open() as handle:
+    # Undecodable bytes become U+FFFD, which the row parser rejects.
+    with path.open(errors="replace") as handle:
         header = handle.readline().rstrip("\n")
         if header != TENSOR_HEADER:
             raise ShapeMismatch(f"{path}: expected header {TENSOR_HEADER}, got {header!r}")
-        try:
-            data = np.loadtxt(handle, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ShapeMismatch(f"{path}: expected rows of 5 numbers ({exc})") from None
-    if len(data) and data.shape[1] != 5:
-        raise ShapeMismatch(f"{path}: expected 5 fields per row, got {data.shape[1]}")
+        # A header-only file, as an interrupted write leaves, is caught by
+        # the row count below; np.loadtxt would warn on it first.
+        body = handle.tell()
+        data = np.empty(0, _TENSOR_ROW)
+        if handle.readline():
+            handle.seek(body)
+            try:
+                data = np.loadtxt(handle, delimiter=",", dtype=_TENSOR_ROW, ndmin=1)
+            except ValueError:
+                line, text = _first_rejected_line(path)
+                raise ShapeMismatch(f"{path}, line {line}: expected 4 integer indices and a "
+                                    f"number, got {text[:80]!r}") from None
     grid = np.indices(shape).reshape(4, -1).T
-    wrong = (data[:len(grid), :4] != grid[:len(data)]).any(axis=1)
+    wrong = (data["index"][:len(grid)] != grid[:len(data)]).any(axis=1)
     if wrong.any() or len(data) != len(grid):
         line = 2 + (int(wrong.argmax()) if wrong.any() else len(wrong))
         raise ShapeMismatch(f"{path}, line {line}: rows do not form a tensor of shape {shape}")
-    values = data[:, 4].copy().reshape(shape)
+    values = data["value"].copy().reshape(shape)
     # The filter takes unvalidated views of the tensor, so this is the
     # one place a non-finite value read from disk is caught.
     if not np.isfinite(values).all():

@@ -23,7 +23,7 @@ from .artifacts import (SCORE_HEADER, load_scores, load_tensor, parse_rows, read
 from .comparators import ComparatorConfig, QuantileMatrix
 from .config import RunConfig, Variant, _seeds, config_hash, parse_config
 from .envs import make_env
-from .errors import ConfigError, ShapeMismatch, _integer, _real
+from .errors import ConfigError, _integer, _real
 from .learner import WEIGHTED_SUM, _check_env, evaluate, train
 from .plots import interval_plot_svg
 from .preorder import PreorderGraph
@@ -106,8 +106,10 @@ def run_evaluate(config: RunConfig, out_dir, seeds=None) -> Path:
     in the ``algorithm,seed,run,score`` layout consumed by the stats
     step, scoring each run by its success rate.  The runs of one tensor
     share a selection memo, so each state is filtered once.  Raises
-    :class:`MissingArtifact` when a tensor is missing and
-    :class:`ShapeMismatch` when its shape disagrees with the config.
+    :class:`MissingArtifact` when a tensor is missing,
+    :class:`ShapeMismatch` when its shape disagrees with the config and
+    ``ValueError`` when it holds a non-finite value; both of the last
+    name the variant and seed.
     """
     seeds = config.seeds if seeds is None else _seeds(seeds, "seeds")
     base = run_dir(config, out_dir)
@@ -122,8 +124,9 @@ def run_evaluate(config: RunConfig, out_dir, seeds=None) -> Path:
             try:
                 tensor = load_tensor(path, (learner.n_heads, env.n_states,
                                             env.n_actions, learner.quantile_count))
-            except ShapeMismatch as exc:
-                raise ShapeMismatch(f"variant {variant.label}, seed {seed}: {exc}") from None
+            except ValueError as exc:
+                exc.args = (f"variant {variant.label}, seed {seed}: {exc}",)
+                raise
             memo: dict = {}
             for run in range(config.eval_runs):
                 records = evaluate(env, tensor, learner, variant.graph,

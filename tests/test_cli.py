@@ -422,6 +422,7 @@ def test_non_finite_tensor_fails_evaluation(tmp_path, capsys) -> None:
     assert main(["evaluate", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "finite" in err and str(tensor) in err
+    assert "variant pr, seed 0" in err
     assert not (next(out.iterdir()) / "evaluate.csv").exists()
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -633,6 +634,46 @@ def test_tensor_csv_bytes_match_the_per_row_reference(tmp_path, shape) -> None:
     assert path.read_bytes() == ref_tensor_csv(values).encode()
 
 
+def _repeated_blocks(case: str) -> np.ndarray:
+    rng = np.random.default_rng(11)
+    values = np.full((3, 6, 2, 3), 0.25)
+    if case == "negative-zero":
+        values[0, 2:] = 0.0
+        values[0, 3] = -0.0
+    elif case == "head-boundary":
+        values[0, -1] = values[1, 0] = rng.normal(size=(2, 3))
+    elif case == "between-distinct":
+        values[1, 1:4] = rng.normal(size=(3, 2, 3))
+        values[1, 2] = values[1, 0]
+    elif case == "strided":
+        values = rng.normal(size=(3, 12, 2, 3))
+        values[:, 4:8] = 1.5
+        values = values[:, ::2]
+    return values
+
+
+@pytest.mark.parametrize("case", ["identical-run", "negative-zero", "head-boundary",
+                                  "between-distinct", "strided"])
+def test_tensor_csv_bytes_match_the_reference_on_repeated_blocks(tmp_path, case) -> None:
+    # The writer reuses a block's text only when its bytes repeat the
+    # previous block's; a -0.0 block must not take a 0.0 block's text.
+    values = _repeated_blocks(case)
+    path = tmp_path / "tensor.csv"
+    save_tensor(QuantileTensor(values, midpoint_fractions(values.shape[3])), path)
+    assert path.read_bytes() == ref_tensor_csv(values).encode()
+
+
+def test_tensor_loader_returns_contiguous_float64_values(tmp_path) -> None:
+    # A tensor left at a non-zero initial_value is the common grid case.
+    tensor = QuantileTensor.filled(2, 4, 3, 5, -0.1)
+    tensor.values[1, 2] = 7.0
+    path = tmp_path / "tensor.csv"
+    save_tensor(tensor, path)
+    loaded = load_tensor(path, (2, 4, 3, 5)).values
+    assert loaded.dtype == np.float64 and loaded.flags.c_contiguous
+    assert loaded.tobytes() == tensor.values.tobytes()
+
+
 def test_tensor_writer_holds_one_block_in_memory(tmp_path) -> None:
     # A grid-shaped tensor: 112,000 rows, 3.4 MB of text.  A writer that
     # built the whole file as one string would peak above the bound.
@@ -671,6 +712,30 @@ def test_tensor_loader_rejects_bad_files(tmp_path) -> None:
         with pytest.raises(ValueError, match="finite") as caught:
             load_tensor(diverged, (1, 1, 1, 1))
         assert str(diverged) in str(caught.value)
+
+
+@pytest.mark.parametrize("row, line", [
+    ("0,0,0,1,abc", 3), ("0,0,0", 3), ("0,0,0,0,0.5,6", 2), ("0,0,0,1.0,0.5", 3),
+    ("0,0,0,1e0,0.5", 3), ("0,0,0,9223372036854775808,0.5", 3)],
+    ids=["non-number", "short-row", "long-row", "float-index", "exponent-index",
+         "index-beyond-int64"])
+def test_tensor_loader_names_the_line_it_rejects(tmp_path, row, line) -> None:
+    rows = ["0,0,0,0,0.5", "0,0,0,1,0.5", "0,0,0,2,0.5", "0,0,0,3,0.5"]
+    rows[line - 2] = row
+    path = tmp_path / "tensor.csv"
+    path.write_text("objective,state,action,k,value\r\n" + "".join(r + "\r\n" for r in rows))
+    with pytest.raises(ShapeMismatch, match=rf"tensor\.csv, line {line}: "):
+        load_tensor(path, (1, 1, 1, 4))
+
+
+def test_header_only_tensor_is_a_shape_mismatch_without_a_warning(tmp_path) -> None:
+    # An interrupted write can leave exactly this file.
+    path = tmp_path / "tensor.csv"
+    path.write_text("objective,state,action,k,value\r\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShapeMismatch, match=r"tensor\.csv, line 2: "):
+            load_tensor(path, (1, 1, 1, 2))
 
 
 def test_episode_log_roundtrip(tmp_path) -> None:
