@@ -7,16 +7,21 @@ reference is the exception: it is the former one-row-at-a-time numpy
 loop, kept so the batched ``stats.bootstrap_ci`` can be checked against
 it bit for bit.  ``ref_tensor_csv`` is the plain one-row-at-a-time
 tensor writer, kept so ``artifacts.save_tensor`` can be checked against
-it byte for byte.
+it byte for byte, and ``ref_load_tensor`` its per-row reader twin, for
+``artifacts.load_tensor``.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import statistics
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+
+from preorder_rl.errors import ShapeMismatch
 
 ZERO_STD = 1e-12
 
@@ -185,3 +190,46 @@ def ref_tensor_csv(values: np.ndarray) -> str:
     """The text of a ``tensor.csv`` holding ``values``, one row per cell."""
     return "objective,state,action,k,value\r\n" + "".join(
         f"{h},{s},{a},{k},{float(v)!r}\r\n" for (h, s, a, k), v in np.ndenumerate(values))
+
+
+def ref_load_tensor(path, shape: tuple[int, int, int, int]) -> np.ndarray:
+    """The values of the ``tensor.csv`` at ``path``, read one physical line
+    at a time with ``csv``, ``int`` and ``float``.
+
+    Every line ends in ``\\r\\n`` or ``\\n`` and no line is blank or holds
+    another ``\\r``; each row is the four indices of the next cell in C
+    order, then its value.  The first bad line raises ``ShapeMismatch``
+    naming it; once every row is read, the first non-finite value raises
+    ``ValueError`` naming its line.  (``int`` and ``float`` accept a few
+    spellings ``np.loadtxt`` rejects, such as ``1_0``; the tests write
+    none.)
+    """
+    header, *lines = Path(path).read_bytes().decode("latin-1").split("\n")
+    if header.removesuffix("\r") != "objective,state,action,k,value":
+        raise ShapeMismatch(f"{path}: bad header {header!r}")
+    cells = list(np.ndindex(shape))
+    values: list[float] = []
+    for number, line in enumerate(lines, start=2):
+        if number == len(lines) + 1:  # the text after the last line break
+            if line:
+                raise ShapeMismatch(f"{path}, line {number}: no line break")
+            break
+        line = line.removesuffix("\r")
+        if not line or "\r" in line:
+            raise ShapeMismatch(f"{path}, line {number}: blank line or stray carriage return")
+        fields = next(csv.reader([line]))
+        try:
+            if len(fields) != 5:
+                raise ValueError(f"{len(fields)} fields")
+            index, value = tuple(int(cell) for cell in fields[:4]), float(fields[4])
+        except ValueError as exc:
+            raise ShapeMismatch(f"{path}, line {number}: {exc}") from None
+        if len(values) == len(cells) or index != cells[len(values)]:
+            raise ShapeMismatch(f"{path}, line {number}: index {index} out of place")
+        values.append(value)
+    if len(values) < len(cells):
+        raise ShapeMismatch(f"{path}, line {len(values) + 2}: missing row")
+    for number, value in enumerate(values, start=2):
+        if not math.isfinite(value):
+            raise ValueError(f"{path}, line {number}: non-finite value {value}")
+    return np.array(values).reshape(shape)

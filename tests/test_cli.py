@@ -411,6 +411,20 @@ def test_truncated_tensor_fails_evaluation(tmp_path, capsys) -> None:
         assert "variant flat, seed 0" in err and str(tensor) in err
 
 
+def test_blank_line_in_tensor_exits_4_naming_the_physical_line(tmp_path, capsys) -> None:
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    tensor = next(out.iterdir()) / "pr" / "0" / "tensor.csv"
+    lines = tensor.read_bytes().splitlines(keepends=True)
+    tensor.write_bytes(b"".join([*lines[:5], b"\r\n", *lines[5:]]))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config), "--out", str(out)]) == EXIT_SHAPE
+    err = capsys.readouterr().err
+    assert f"{tensor}, line 6: blank line" in err and "variant pr, seed 0" in err
+    assert not (next(out.iterdir()) / "evaluate.csv").exists()
+
+
 def test_non_finite_tensor_fails_evaluation(tmp_path, capsys) -> None:
     config = write_config(tmp_path)
     out = tmp_path / "out"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 import warnings
 from dataclasses import dataclass, replace
@@ -32,7 +33,7 @@ from preorder_rl.learner import (
 from preorder_rl.preorder import PreorderGraph, build_graph
 from preorder_rl.selection import select
 
-from ._reference import ref_tensor_csv
+from ._reference import ref_load_tensor, ref_tensor_csv
 
 ONE = build_graph(1, [])
 CHAIN2 = build_graph(2, [(0, 1)])
@@ -736,6 +737,127 @@ def test_header_only_tensor_is_a_shape_mismatch_without_a_warning(tmp_path) -> N
         warnings.simplefilter("error")
         with pytest.raises(ShapeMismatch, match=r"tensor\.csv, line 2: "):
             load_tensor(path, (1, 1, 1, 2))
+
+
+def _outcomes(path, shape) -> list:
+    """What ``load_tensor`` and ``ref_load_tensor`` make of the file at
+    ``path``: the values' bytes, or the error's type and the line it names."""
+    outcomes = []
+    for load in (lambda: load_tensor(path, shape).values, lambda: ref_load_tensor(path, shape)):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                outcomes.append(load().tobytes())
+        except ValueError as exc:
+            named = re.search(r", line (\d+): ", str(exc))
+            outcomes.append((type(exc), named and int(named[1])))
+    return outcomes
+
+
+# A constant tensor: every block but the first repeats the one before it.
+CONSTANT = np.full((3, 6, 2, 3), 0.25)
+# Physical line of row (a=1, k=0) of block (1, 2), a repeated block.
+MUTATED_LINE = 2 + (1 * 6 + 2) * 6 + 3
+LINE_EDITS = {
+    "wrong-head": (lambda line: "2" + line[1:], MUTATED_LINE),
+    "wrong-state": (lambda line: line.replace("1,2,", "1,3,", 1), MUTATED_LINE),
+    "wrong-action": (lambda line: line.replace("1,2,1,0,", "1,2,0,0,", 1), MUTATED_LINE),
+    "wrong-quantile": (lambda line: line.replace("1,2,1,0,", "1,2,1,2,", 1), MUTATED_LINE),
+    "changed-value": (lambda line: line.replace("0.25", "0.5"), None),
+    "nan": (lambda line: line.replace("0.25", "nan"), MUTATED_LINE),
+    "dropped-line": (lambda line: "", MUTATED_LINE),
+    "duplicated-line": (lambda line: line + line, MUTATED_LINE + 1),
+    # np.loadtxt skipped a blank line and shifted the line named after it.
+    "blank-line-before": (lambda line: "\r\n" + line, MUTATED_LINE),
+    "stray-carriage-return": (lambda line: line.replace("0.25", "0.2\r5"), MUTATED_LINE),
+    "lf-ending": (lambda line: line.replace("\r\n", "\n"), None),
+    "padded-index": (lambda line: " " + line, None),
+}
+
+
+@pytest.mark.parametrize("case", list(LINE_EDITS))
+def test_tensor_loader_matches_the_per_row_reference_on_a_one_line_edit(tmp_path, case) -> None:
+    edit, line = LINE_EDITS[case]
+    lines = ref_tensor_csv(CONSTANT).splitlines(keepends=True)
+    lines[MUTATED_LINE - 1] = edit(lines[MUTATED_LINE - 1])
+    path = tmp_path / "tensor.csv"
+    path.write_bytes("".join(lines).encode())
+    loaded, expected = _outcomes(path, CONSTANT.shape)
+    assert loaded == expected
+    if line is None:
+        assert isinstance(expected, bytes)
+    else:
+        assert expected == (ValueError if case == "nan" else ShapeMismatch, line)
+
+
+def _copy_line_into_next_block(text: str) -> str:
+    # The same unprefixed line in two blocks in a row: the second holds the
+    # first block's state index, so it must not reuse the first block.
+    lines = text.splitlines(keepends=True)
+    lines[MUTATED_LINE - 1] = lines[MUTATED_LINE + 5] = " " + lines[MUTATED_LINE - 1]
+    return "".join(lines)
+
+
+FILE_EDITS = {
+    "no-final-line-break": (lambda text: text.removesuffix("\r\n"), CONSTANT.size + 1),
+    "cut-inside-the-last-row": (lambda text: text[:-4], CONSTANT.size + 1),
+    "extra-row": (lambda text: text + "0,0,0,0,0.25\r\n", CONSTANT.size + 2),
+    "trailing-blank-line": (lambda text: text + "\r\n", CONSTANT.size + 2),
+    "lf-endings": (lambda text: text.replace("\r\n", "\n"), None),
+    "header-only": (lambda text: text.partition("\n")[0] + "\n", 2),
+    # A block of blank lines, on which np.loadtxt warned "input contained no data".
+    "blank-body": (lambda text: text.partition("\n")[0] + "\n" + "\r\n" * 6, 2),
+    "line-copied-into-next-block": (_copy_line_into_next_block, MUTATED_LINE + 6),
+}
+
+
+@pytest.mark.parametrize("case", list(FILE_EDITS))
+def test_tensor_loader_matches_the_per_row_reference_on_a_file_edit(tmp_path, case) -> None:
+    edit, line = FILE_EDITS[case]
+    path = tmp_path / "tensor.csv"
+    path.write_bytes(edit(ref_tensor_csv(CONSTANT)).encode())
+    loaded, expected = _outcomes(path, CONSTANT.shape)
+    assert loaded == expected
+    if line is None:
+        assert isinstance(expected, bytes)
+    else:
+        assert expected == (ShapeMismatch, line)
+
+
+# Constant tensors whose runs cross the 9 -> 10 and 99 -> 100 state steps
+# and head boundaries, where the prefix changes length.
+PREFIX_STEPS = {"ten-states": (2, 11, 2, 2), "hundred-states": (2, 101, 1, 2),
+                "constant-across-heads": (3, 5, 2, 3)}
+
+
+@pytest.mark.parametrize("case", ["identical-run", "negative-zero", "head-boundary",
+                                  "between-distinct", "strided", *PREFIX_STEPS])
+def test_tensor_loader_matches_the_per_row_reference_on_repeated_blocks(tmp_path, case) -> None:
+    values = np.full(PREFIX_STEPS[case], -0.1) if case in PREFIX_STEPS else _repeated_blocks(case)
+    path = tmp_path / "tensor.csv"
+    save_tensor(QuantileTensor(values, midpoint_fractions(values.shape[3])), path)
+    loaded, expected = _outcomes(path, values.shape)
+    assert loaded == expected == values.tobytes()
+
+
+def test_tensor_loader_holds_no_whole_file_temporaries(tmp_path) -> None:
+    # A grid-shaped tensor left at initial_value outside 70 visited states:
+    # 112,000 rows, 1.9 MB of text, about a quarter of its blocks distinct.
+    # One more whole-file copy (a body slice, a newline mask or a list of
+    # lines) would push the peak over the bound.
+    rng = np.random.default_rng(12)
+    values = np.zeros((5, 560, 5, 8))
+    values[:, rng.choice(560, 70, replace=False)] = rng.normal(size=(5, 70, 5, 8))
+    path = tmp_path / "tensor.csv"
+    save_tensor(QuantileTensor(values, midpoint_fractions(8)), path)
+    tracemalloc.start()
+    try:
+        loaded = load_tensor(path, values.shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.values.tobytes() == values.tobytes()
+    assert peak < 5_000_000
 
 
 def test_episode_log_roundtrip(tmp_path) -> None:
