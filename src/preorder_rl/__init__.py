@@ -12,6 +12,7 @@ experiment orchestration, and :mod:`cli` exposes it all as subcommands.
 
 from .comparators import (
     ComparatorConfig,
+    HeadStack,
     PairwiseDecision,
     QuantileMatrix,
     action_scores,
@@ -68,6 +69,7 @@ __all__ = [
     "EnvSpec",
     "EpisodeRecord",
     "EpsilonSchedule",
+    "HeadStack",
     "LearnerConfig",
     "LengthMismatch",
     "MissingArtifact",

@@ -59,22 +59,35 @@ def read_rows(path, what: str) -> tuple[list[str], list[list[str]]]:
         raise MissingArtifact(f"no {what} at {path}")
     with path.open(newline="") as handle:
         header, *rows = list(csv.reader(handle)) or [[]]
-    for line, row in enumerate(rows, start=2):
+    for row_index, row in enumerate(rows):
         if len(row) != len(header):
-            raise ShapeMismatch(f"{path}, line {line}: expected {len(header)} fields, "
-                                f"got {len(row)}")
+            raise ShapeMismatch(f"{path}, line {_row_line(path, row_index)}: "
+                                f"expected {len(header)} fields, got {len(row)}")
     return header, rows
+
+
+def _row_line(path, row_index: int) -> int:
+    """The physical (``\\n``-counted) line on which body row ``row_index``
+    of the CSV at ``path`` starts.  ``csv`` also ends a record at a lone
+    ``\\r`` and lets a quoted cell span lines, so record and line counts
+    differ; only an error pays for this second read."""
+    with Path(path).open(newline="") as handle:
+        lines = list(handle)
+    reader = csv.reader(lines)
+    for _ in range(row_index + 1):
+        next(reader)
+    return 1 + sum(line.endswith("\n") for line in lines[:reader.line_num])
 
 
 def parse_rows(path, rows: list[list[str]], parse) -> list:
     """``parse(row)`` for every body row read from ``path``; a cell it
     cannot convert raises :class:`ShapeMismatch` naming the file and line."""
     parsed = []
-    for line, row in enumerate(rows, start=2):
+    for row_index, row in enumerate(rows):
         try:
             parsed.append(parse(row))
         except ValueError as exc:
-            raise ShapeMismatch(f"{path}, line {line}: {exc}") from None
+            raise ShapeMismatch(f"{path}, line {_row_line(path, row_index)}: {exc}") from None
     return parsed
 
 
@@ -341,8 +354,9 @@ def load_scores(path) -> dict[str, np.ndarray]:
         raise MissingArtifact(f"{path}: expected header {','.join(SCORE_HEADER)}")
     grouped: dict[str, list[float]] = {}
     parsed = parse_rows(path, rows, lambda row: (row[0], float(row[3])))
-    for line, (name, score) in enumerate(parsed, start=2):
+    for row_index, (name, score) in enumerate(parsed):
         if not math.isfinite(score):
-            raise ValueError(f"{path}, line {line}: scores must be finite, got {score}")
+            raise ValueError(f"{path}, line {_row_line(path, row_index)}: "
+                             f"scores must be finite, got {score}")
         grouped.setdefault(name, []).append(score)
     return {name: np.array(scores) for name, scores in grouped.items()}

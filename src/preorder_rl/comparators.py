@@ -1,10 +1,11 @@
 """Distribution-level comparison of actions on a single objective.
 
 A :class:`QuantileMatrix` holds one column of quantile estimates per
-action.  The main scorer normalizes the matrix, forms the per-quantile
-ideal profile (the pointwise best across actions), and scores each
-action by the negative 1-Wasserstein distance of its column to that
-ideal.  Pairwise score gaps thresholded by a tolerance give dominance
+action; a :class:`HeadStack` presents the heads of one (heads, actions,
+quantiles) block as a sequence of such matrices.  The main scorer
+normalizes the matrix, forms the per-quantile ideal profile (the
+pointwise best across actions), and scores each action by the negative
+1-Wasserstein distance of its column to that ideal.  Pairwise score gaps thresholded by a tolerance give dominance
 verdicts.  Lower-tail and mean-variance scorers are provided as drop-in
 alternatives for ablations.  :func:`score_heads` is the one scorer: it
 scores a stack of heads in one vectorized pass, and the per-matrix
@@ -14,6 +15,8 @@ entry points are its one-head case.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +88,30 @@ class QuantileMatrix:
     @property
     def n_quantiles(self) -> int:
         return self.values.shape[0]
+
+
+class HeadStack(Sequence):
+    """Read-only sequence of the heads of one (heads, actions, quantiles)
+    block, all sharing ``fractions``.  Each item is an unvalidated
+    :class:`QuantileMatrix` view of ``values[h].T``, built when asked;
+    :func:`~preorder_rl.selection.select` scores the block whole."""
+
+    __slots__ = ("values", "fractions")
+
+    def __init__(self, values: np.ndarray, fractions: np.ndarray) -> None:
+        self.values = values
+        self.fractions = fractions
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index) -> QuantileMatrix:
+        # operator.index rejects slices and arrays, which would not index one head.
+        return QuantileMatrix._view(self.values[operator.index(index)].T, self.fractions)
+
+    def __iter__(self):
+        fractions = self.fractions
+        return (QuantileMatrix._view(head.T, fractions) for head in self.values)
 
 
 @dataclass(frozen=True)

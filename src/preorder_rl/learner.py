@@ -24,10 +24,12 @@ quantiles changed.  ``evaluate`` takes its memo from the caller, so every
 evaluation of one frozen tensor filters each state once; it never drops
 entries.  Exploration draws happen before the memo is consulted and the
 filter draws no random numbers, so the memo changes no result.
-``QuantileTensor.matrices`` hands the filter unvalidated views, so the
-finite checks sit where values enter a tensor: ``td_update`` raises on
-the first cell that leaves the finite range, naming its first bad head,
-and ``train`` adds the episode to the message.
+``QuantileTensor.matrices`` hands the filter a
+:class:`~preorder_rl.comparators.HeadStack`, an unvalidated view of the
+state's (heads, actions, quantiles) block that the filter scores whole,
+so the finite checks sit where values enter a tensor: ``td_update``
+raises on the first cell that leaves the finite range, naming its first
+bad head, and ``train`` adds the episode to the message.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comparators import ComparatorConfig, QuantileMatrix, _last_axis_mean, midpoint_fractions
+from .comparators import ComparatorConfig, HeadStack, _last_axis_mean, midpoint_fractions
 from .errors import ConfigError, EmptySetError, _integer, _real
 from .preorder import PreorderGraph
 from .selection import SelectionState, global_leaf_survivors, sample_action, select
@@ -177,11 +179,11 @@ class QuantileTensor:
     def n_quantiles(self) -> int:
         return self.values.shape[3]
 
-    def matrices(self, state: int) -> list[QuantileMatrix]:
+    def matrices(self, state: int) -> HeadStack:
         """Unvalidated (quantiles, actions) views of every head at
-        ``state``; ``td_update`` keeps the tensor finite instead."""
-        fractions = self.fractions
-        return [QuantileMatrix._view(head.T, fractions) for head in self.values[:, state]]
+        ``state``, as one view of its (heads, actions, quantiles) block;
+        ``td_update`` keeps the tensor finite instead."""
+        return HeadStack(self.values[:, state], self.fractions)
 
     def copy(self) -> "QuantileTensor":
         return QuantileTensor(self.values.copy(), self.fractions.copy())

@@ -9,8 +9,9 @@ survivor sets, merged through a virtual global leaf, are the actions a
 policy may play.
 
 :func:`select` scores every head under one comparator config, one
-vectorized :func:`~preorder_rl.comparators.score_heads` call per shape,
-thresholds all pairwise score gaps at once with the rule of
+vectorized :func:`~preorder_rl.comparators.score_heads` call per shape
+(a single call on a :class:`~preorder_rl.comparators.HeadStack`, whose
+heads share one block), thresholds all pairwise score gaps at once with the rule of
 :func:`~preorder_rl.comparators.classify_pairs`, and hands the verdicts
 to :func:`filter_verdicts`, the one survivor walk in the package;
 :func:`~preorder_rl.relations.oracle_survivors` runs the same walk on
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comparators import ComparatorConfig, QuantileMatrix, _verdicts, score_heads
+from .comparators import ComparatorConfig, HeadStack, QuantileMatrix, _verdicts, score_heads
 # perfbench/tracer.py wraps these names here; select itself no longer calls them.
 from .comparators import action_scores, classify_pairs  # noqa: F401
 from .errors import ConfigError, EmptySetError, ShapeMismatch
@@ -76,7 +77,9 @@ def select(graph: PreorderGraph, quantiles: Sequence[QuantileMatrix],
     Args:
         graph: priority preorder; objective i uses ``quantiles[i]``.
         quantiles: per-objective (quantiles, actions) matrices with a
-            shared action count; quantile counts may differ.
+            shared action count; quantile counts may differ.  A
+            :class:`~preorder_rl.comparators.HeadStack` is scored as the
+            one (heads, actions, quantiles) block it views.
         config: the one comparator config every objective is scored and
             thresholded with.
 
@@ -89,21 +92,30 @@ def select(graph: PreorderGraph, quantiles: Sequence[QuantileMatrix],
     n_objectives = graph.n_objectives
     if len(quantiles) != n_objectives:
         raise ShapeMismatch(f"expected {n_objectives} quantile matrices, got {len(quantiles)}")
+    if isinstance(quantiles, HeadStack):
+        # One block has one shape and one layout by construction.
+        scores = score_heads(quantiles.values, config)
+    else:
+        scores = _score_matrices(quantiles, config)
+    # The diagonal stays clear: its gap is 0 and epsilon >= 0.
+    return filter_verdicts(graph, *_verdicts(scores, config.epsilon), scores)
+
+
+def _score_matrices(quantiles: Sequence[QuantileMatrix], config: ComparatorConfig) -> np.ndarray:
+    """(objectives, actions) scores of separate matrices.  Heads stack
+    only with heads of the same shape and memory layout, so each is
+    scored exactly as it would be on its own."""
     n_actions = quantiles[0].n_actions
     if any(m.n_actions != n_actions for m in quantiles):
         raise ShapeMismatch("quantile matrices disagree on the action count")
-
-    # Heads stack only with heads of the same shape and memory layout, so
-    # each is scored exactly as it would be on its own.
     groups: dict[tuple, list[int]] = {}
     for obj, m in enumerate(quantiles):
         groups.setdefault((m.values.shape, m.values.strides), []).append(obj)
-    scores = np.empty((n_objectives, n_actions))
+    scores = np.empty((len(quantiles), n_actions))
     for objs in groups.values():
         values = np.stack([quantiles[obj].values for obj in objs]).transpose(0, 2, 1)
         scores[objs] = score_heads(values, config)
-    # The diagonal stays clear: its gap is 0 and epsilon >= 0.
-    return filter_verdicts(graph, *_verdicts(scores, config.epsilon), scores)
+    return scores
 
 
 def filter_verdicts(graph: PreorderGraph, above: np.ndarray, below: np.ndarray,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from preorder_rl import learner
-from preorder_rl.artifacts import load_scores
+from preorder_rl.artifacts import SCORE_HEADER, load_scores, read_rows, write_rows
 from preorder_rl.comparators import ComparatorConfig, QuantileMatrix
 from preorder_rl.config import config_hash, parse_config
 from preorder_rl.errors import ConfigError, MissingArtifact, ShapeMismatch
@@ -382,4 +382,32 @@ def test_load_scores_names_the_line_of_a_non_numeric_score(tmp_path) -> None:
     path = tmp_path / "scores.csv"
     path.write_text("algorithm,seed,run,score\na,0,0,1.0\na,0,1,x\n")
     with pytest.raises(ShapeMismatch, match=r"scores\.csv, line 3: .*'x'"):
+        load_scores(path)
+
+
+def test_csv_errors_name_the_physical_line_after_a_lone_cr(tmp_path) -> None:
+    # csv ends a record at a lone \r too, but only \n starts a new line.
+    path = tmp_path / "scores.csv"
+    path.write_bytes(b"algorithm,seed,run,score\r\na,0,0,1.0\ra,0,1,x\r\n")
+    with pytest.raises(ShapeMismatch, match=r"scores\.csv, line 2: .*'x'"):
+        load_scores(path)
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (["z", 0, 2, float("nan")], ValueError, "scores must be finite"),
+    (["z", 0, 2, "x"], ShapeMismatch, "could not convert"),
+    (["z", 0, 2], ShapeMismatch, "expected 4 fields, got 3"),
+])
+def test_quoted_line_breaks_read_back_and_keep_line_numbers_physical(
+        tmp_path, bad, error, message) -> None:
+    # A label may hold \r or \n (config labels reject only spaces and
+    # slashes); write_rows quotes the cell and read_rows gives it back.
+    path = tmp_path / "scores.csv"
+    rows = [["a\rb", 0, 0, 1.0], ["c\nd\r\ne", 0, 1, 2.0]]
+    write_rows(path, SCORE_HEADER, rows)
+    assert read_rows(path, "score file")[1] == [[str(cell) for cell in row] for row in rows]
+    assert set(load_scores(path)) == {"a\rb", "c\nd\r\ne"}
+    write_rows(path, SCORE_HEADER, rows + [bad])
+    # Lines: header, the "a\rb" row, three for the "c\nd\r\ne" row, then the bad row.
+    with pytest.raises(error, match=rf"scores\.csv, line 6: {message}"):
         load_scores(path)

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from preorder_rl.comparators import ComparatorConfig, QuantileMatrix, action_scores, classify_pairs
+from preorder_rl.comparators import (
+    ComparatorConfig,
+    HeadStack,
+    QuantileMatrix,
+    action_scores,
+    classify_pairs,
+    midpoint_fractions,
+)
 from preorder_rl.errors import ConfigError, EmptySetError, ShapeMismatch
+from preorder_rl.learner import QuantileTensor
 from preorder_rl.preorder import build_graph
 from preorder_rl.selection import (
     aggregate_survivor_sets,
@@ -288,7 +297,7 @@ def test_permuting_actions_permutes_survivors() -> None:
             assert shuffled.survivors[obj] == relabeled
 
 
-@pytest.mark.parametrize("layout", ["tensor", "c-order", "mixed"])
+@pytest.mark.parametrize("layout", ["tensor", "c-order", "mixed", "head-stack"])
 def test_unordered_objectives_keep_each_matrix_own_verdicts(layout) -> None:
     # With no edges every objective is a root, so its verdicts are
     # exactly what the comparator says about its matrix alone, whatever
@@ -303,7 +312,9 @@ def test_unordered_objectives_keep_each_matrix_own_verdicts(layout) -> None:
         if rng.random() < 0.3:
             tensor[int(rng.integers(n_objectives))] = 0.5
         mats = [QuantileMatrix.from_values(tensor[h, 0].T) for h in range(n_objectives)]
-        if layout != "tensor":
+        if layout == "head-stack":
+            mats = QuantileTensor(tensor, midpoint_fractions(n_quantiles)).matrices(0)
+        elif layout != "tensor":
             mats = [QuantileMatrix.from_values(np.ascontiguousarray(m.values))
                     if layout == "c-order" or rng.random() < 0.5 else m for m in mats]
         # The epsilon is a gap one matrix shows alone, so that pair sits
@@ -320,6 +331,74 @@ def test_unordered_objectives_keep_each_matrix_own_verdicts(layout) -> None:
             alone = classify_pairs(mats[obj], config)
             assert np.array_equal(state.dom[obj], alone.dom)
             assert np.array_equal(state.dom_by[obj], alone.dom_by)
+
+
+def test_head_stack_filters_exactly_as_its_list_of_views() -> None:
+    # select scores a HeadStack as one block and a list head by head; the
+    # epsilon sits on one pair's gap, where one ulp of score decides.
+    rng = np.random.default_rng(2424)
+    kinds = ("qd", "cvar", "mv")
+    for _ in range(300):
+        n_objectives = int(rng.integers(1, 6))
+        edges = [(i, j) for i in range(n_objectives) for j in range(i + 1, n_objectives)
+                 if rng.random() < 0.5]
+        n_actions = int(rng.integers(2, 7))
+        n_quantiles = int(rng.choice([1, 2, 4, 8, 9]))
+        values = rng.normal(size=(n_objectives, 3, n_actions, n_quantiles))
+        if rng.random() < 0.5:
+            values = values.round(1)
+        state = int(rng.integers(3))
+        if rng.random() < 0.3:
+            values[int(rng.integers(n_objectives)), state] = 0.5
+        stack = QuantileTensor(values, midpoint_fractions(n_quantiles)).matrices(state)
+        base = ComparatorConfig(kinds[int(rng.integers(3))],
+                                cvar_alpha=float(rng.uniform(0.1, 1.0)),
+                                mv_lambda=float(rng.uniform(0.0, 2.0)))
+        edge_scores = action_scores(stack[int(rng.integers(n_objectives))], base)
+        a, b = rng.choice(n_actions, size=2, replace=False)
+        config = replace(base, epsilon=float(abs(edge_scores[a] - edge_scores[b])))
+        graph = build_graph(n_objectives, edges)
+        whole = select(graph, stack, config)
+        by_head = select(graph, list(stack), config)
+        assert np.array_equal(whole.dom, by_head.dom)
+        assert np.array_equal(whole.dom_by, by_head.dom_by)
+        assert np.array_equal(whole.mask, by_head.mask)
+        assert whole.survivors == by_head.survivors
+        assert whole.fallbacks == by_head.fallbacks
+
+
+def test_head_stack_is_a_read_only_sequence_of_tensor_views() -> None:
+    values = np.arange(3 * 2 * 4 * 5, dtype=float).reshape(3, 2, 4, 5)
+    tensor = QuantileTensor(values, midpoint_fractions(5))
+    stack = tensor.matrices(1)
+    assert isinstance(stack, HeadStack) and isinstance(stack, Sequence)
+    assert len(stack) == 3
+    views = list(stack)
+    assert len(views) == 3
+    for head, view in enumerate(views):
+        assert type(view) is QuantileMatrix
+        assert np.shares_memory(view.values, values)
+        assert np.array_equal(view.values, values[head, 1].T)
+        assert np.array_equal(view.fractions, tensor.fractions)
+        assert np.array_equal(stack[head].values, view.values)
+        assert np.array_equal(stack[head - 3].values, view.values)
+    for index in (3, -4):
+        with pytest.raises(IndexError):
+            stack[index]
+        with pytest.raises(IndexError):
+            views[index]
+    for index in ("0", slice(1, None), np.array([0, 1])):
+        with pytest.raises(TypeError):
+            stack[index]
+    with pytest.raises(TypeError):
+        stack[0] = views[0]
+    for n_objectives in (2, 4):
+        graph = build_graph(n_objectives, [])
+        with pytest.raises(ShapeMismatch) as from_stack:
+            select(graph, stack, QD)
+        with pytest.raises(ShapeMismatch) as from_list:
+            select(graph, views, QD)
+        assert str(from_stack.value) == str(from_list.value)
 
 
 @pytest.mark.parametrize("kind", ["qd", "cvar", "mv"])
