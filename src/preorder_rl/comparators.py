@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch, _real
+from .errors import ConfigError, ShapeMismatch, _real, _string
 
 ZERO_VARIANCE_STD = 1e-12
 
@@ -130,8 +130,8 @@ class ComparatorConfig:
     mv_lambda: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in COMPARATOR_KINDS:
-            raise ConfigError(f"unknown comparator kind {self.kind!r}, expected one of {COMPARATOR_KINDS}")
+        if _string(self.kind, "kind") not in COMPARATOR_KINDS:
+            raise ConfigError(f"kind must be one of {COMPARATOR_KINDS}, got {self.kind!r}")
         if not _real(self.epsilon, "epsilon") >= 0.0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
         if not 0.0 < _real(self.cvar_alpha, "cvar_alpha") <= 1.0:

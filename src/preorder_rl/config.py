@@ -14,6 +14,11 @@ The schema is the field tables ``_TOP``, ``_ENV``, ``_PREORDER``,
 against its table, so each rejects fields its table does not name.
 Each default is read from the dataclass field it fills; only the
 ``gammas`` default, one number for every objective, is the config's own.
+
+:func:`_fields` checks only JSON container types, and ``_integer`` on the
+top-level counts; every other value is checked by the object it fills,
+with the form rules of :mod:`~preorder_rl.errors`, and its error comes back
+with the block's prefix (``learner: learning_rate must be finite, got nan``).
 """
 
 from __future__ import annotations
@@ -25,34 +30,35 @@ from pathlib import Path
 
 from .comparators import ComparatorConfig
 from .envs import EnvSpec, make_env
-from .errors import ConfigError
-from .learner import MODES, WEIGHTED_SUM, EpsilonSchedule, LearnerConfig
+from .errors import ConfigError, _integer
+from .learner import EpsilonSchedule, LearnerConfig
 from .preorder import PreorderGraph, build_graph
 
 SCHEMA_VERSION = 1
 _REQUIRED = object()
 
-# {field: (type, default or _REQUIRED)}; type None: the block's parser checks it.
-_TOP = {"schema_version": (int, _REQUIRED), "env": (dict, _REQUIRED),
-        "preorder": (dict, _REQUIRED), "learner": (dict, {}), "episodes": (int, _REQUIRED),
-        "seeds": (list, [0]), "eval_runs": (int, 1), "eval_episodes": (int, 100),
+# {field: (kind, default or _REQUIRED)}; kind is a JSON container type,
+# _integer, or None where the object the field fills checks its form.
+_TOP = {"schema_version": (_integer, _REQUIRED), "env": (dict, _REQUIRED),
+        "preorder": (dict, _REQUIRED), "learner": (dict, {}), "episodes": (_integer, _REQUIRED),
+        "seeds": (list, [0]), "eval_runs": (_integer, 1), "eval_episodes": (_integer, 100),
         "variants": (list, _REQUIRED)}
-_ENV = {"name": (str, _REQUIRED), "episode_cap": (int, EnvSpec.episode_cap), "params": (dict, {})}
-_PREORDER = {"n_objectives": (int, _REQUIRED), "edges": (list, [])}
-_LEARNER = {"gammas": (None, 0.95), "learning_rate": (float, LearnerConfig.learning_rate),
-            "learning_rate_end": (float, LearnerConfig.learning_rate_end),
-            "quantile_count": (int, LearnerConfig.quantile_count),
-            "epsilon_start": (float, EpsilonSchedule.start),
-            "epsilon_end": (float, EpsilonSchedule.end),
-            "epsilon_decay_episodes": (int, EpsilonSchedule.decay_episodes),
-            "huber_kappa": (float, LearnerConfig.huber_kappa),
-            "initial_value": (float, LearnerConfig.initial_value)}
-_VARIANT = {"label": (str, _REQUIRED), "mode": (str, LearnerConfig.mode), "comparator": (dict, {}),
-            "training_preorder": (bool, LearnerConfig.training_preorder),
-            "weights": (list, LearnerConfig.weights), "preorder": (dict, None)}
-_COMPARATOR = {"kind": (str, ComparatorConfig.kind), "epsilon": (float, ComparatorConfig.epsilon),
-               "cvar_alpha": (float, ComparatorConfig.cvar_alpha),
-               "mv_lambda": (float, ComparatorConfig.mv_lambda)}
+_ENV = {"name": (None, _REQUIRED), "episode_cap": (None, EnvSpec.episode_cap), "params": (dict, {})}
+_PREORDER = {"n_objectives": (None, _REQUIRED), "edges": (list, [])}
+_LEARNER = {"gammas": (None, 0.95), "learning_rate": (None, LearnerConfig.learning_rate),
+            "learning_rate_end": (None, LearnerConfig.learning_rate_end),
+            "quantile_count": (None, LearnerConfig.quantile_count),
+            "epsilon_start": (None, EpsilonSchedule.start),
+            "epsilon_end": (None, EpsilonSchedule.end),
+            "epsilon_decay_episodes": (None, EpsilonSchedule.decay_episodes),
+            "huber_kappa": (None, LearnerConfig.huber_kappa),
+            "initial_value": (None, LearnerConfig.initial_value)}
+_VARIANT = {"label": (str, _REQUIRED), "mode": (None, LearnerConfig.mode), "comparator": (dict, {}),
+            "training_preorder": (None, LearnerConfig.training_preorder),
+            "weights": (None, LearnerConfig.weights), "preorder": (dict, None)}
+_COMPARATOR = {"kind": (None, ComparatorConfig.kind), "epsilon": (None, ComparatorConfig.epsilon),
+               "cvar_alpha": (None, ComparatorConfig.cvar_alpha),
+               "mv_lambda": (None, ComparatorConfig.mv_lambda)}
 
 
 @dataclass(frozen=True)
@@ -77,17 +83,6 @@ class RunConfig:
     variants: tuple[Variant, ...]
 
 
-def _typed(value, kind, name: str):
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ConfigError(f"{name}: integer out of float range") from None
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
 def _fields(raw, where: str, spec: dict) -> dict:
     """Read the JSON object ``raw`` against its field table ``spec``."""
     if not isinstance(raw, dict):
@@ -97,28 +92,29 @@ def _fields(raw, where: str, spec: dict) -> dict:
         raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
     values = {}
     for field, (kind, default) in spec.items():
-        if field in raw:
-            value = raw[field]
-            values[field] = value if kind is None else _typed(value, kind, f"{where}.{field}")
-        elif default is _REQUIRED:
-            raise ConfigError(f"{where}.{field}: missing")
-        else:
+        name = f"{where}.{field}"
+        if field not in raw:
+            if default is _REQUIRED:
+                raise ConfigError(f"{name}: missing")
             values[field] = default
+        elif kind is _integer:
+            values[field] = _integer(raw[field], name)
+        elif kind is not None and not isinstance(raw[field], kind):
+            raise ConfigError(f"{name}: expected {kind.__name__}, got {type(raw[field]).__name__}")
+        else:
+            values[field] = raw[field]
     return values
 
 
-def _floats(values: list, name: str) -> tuple[float, ...]:
-    return tuple(_typed(v, float, f"{name}[{i}]") for i, v in enumerate(values))
-
-
 def _seeds(values, name: str) -> tuple[int, ...]:
-    values = list(values)
-    if not values or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
-                             for s in values):
+    if not isinstance(values, (list, tuple, range)):
+        raise ConfigError(f"{name}: expected a non-empty list of ints >= 0")
+    values = tuple(_integer(s, f"{name}[{i}]") for i, s in enumerate(values))
+    if not values or min(values) < 0:
         raise ConfigError(f"{name}: expected a non-empty list of ints >= 0")
     if len(set(values)) != len(values):
         raise ConfigError(f"{name}: duplicate seeds")
-    return tuple(values)
+    return values
 
 
 def _parse_env(raw: dict) -> EnvSpec:
@@ -128,20 +124,13 @@ def _parse_env(raw: dict) -> EnvSpec:
         make_env(spec)
     except ConfigError as exc:
         raise ConfigError(f"env: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"env.params: {exc}") from exc
     return spec
 
 
 def _parse_preorder(raw, where: str) -> PreorderGraph:
     fields = _fields(raw, where, _PREORDER)
-    edges = fields["edges"]
-    for i, edge in enumerate(edges):
-        if not (isinstance(edge, list) and len(edge) == 2
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in edge)):
-            raise ConfigError(f"{where}.edges[{i}]: expected a [higher, lower] pair of ints")
     try:
-        return build_graph(fields["n_objectives"], [(e[0], e[1]) for e in edges])
+        return build_graph(fields["n_objectives"], fields["edges"])
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -157,14 +146,8 @@ def _parse_comparator(raw: dict, where: str) -> ComparatorConfig:
 def _parse_learner(raw: dict, n_objectives: int) -> LearnerConfig:
     """The shared settings, checked once so a bad value is blamed on the learner block."""
     shared = _fields(raw, "learner", _LEARNER)
-    gammas = shared["gammas"]
-    if isinstance(gammas, (int, float)) and not isinstance(gammas, bool):
-        gammas = [_typed(gammas, float, "learner.gammas")] * n_objectives
-    elif not isinstance(gammas, list):
-        raise ConfigError("learner.gammas: expected a number or a list of numbers")
-    elif len(gammas) != n_objectives:
-        raise ConfigError(f"learner.gammas: expected {n_objectives} values, got {len(gammas)}")
-    shared["gammas"] = _floats(gammas, "learner.gammas")
+    if isinstance(shared["gammas"], (int, float)) and not isinstance(shared["gammas"], bool):
+        shared["gammas"] = [shared["gammas"]] * n_objectives
     try:
         epsilon = EpsilonSchedule(shared.pop("epsilon_start"), shared.pop("epsilon_end"),
                                   shared.pop("epsilon_decay_episodes"))
@@ -176,25 +159,18 @@ def _parse_learner(raw: dict, n_objectives: int) -> LearnerConfig:
 def _parse_variant(raw, index: int, base: PreorderGraph, shared: LearnerConfig) -> Variant:
     where = f"variants[{index}]"
     fields = _fields(raw, where, _VARIANT)
-    label, mode = fields["label"], fields["mode"]
+    label = fields["label"]
     if not label or any(ch in label for ch in "/\\ "):
         raise ConfigError(f"{where}.label: must be non-empty, without spaces or slashes")
-    if mode not in MODES:
-        raise ConfigError(f"{where}.mode: {mode!r} not one of {MODES}")
     comparator = _parse_comparator(fields["comparator"], f"{where}.comparator")
-    weights = fields["weights"]
-    if weights is not None:
-        weights = _floats(weights, f"{where}.weights")
-    elif mode == WEIGHTED_SUM:
-        raise ConfigError(f"{where}.weights: required by weighted-sum mode")
     graph = base
     if fields["preorder"] is not None:
         graph = _parse_preorder(fields["preorder"], f"{where}.preorder")
         if graph.n_objectives != base.n_objectives:
             raise ConfigError(f"{where}.preorder.n_objectives: must match the base preorder")
     try:
-        learner = replace(shared, mode=mode, comparator=comparator, weights=weights,
-                          training_preorder=fields["training_preorder"])
+        learner = replace(shared, mode=fields["mode"], comparator=comparator,
+                          weights=fields["weights"], training_preorder=fields["training_preorder"])
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return Variant(label, learner, graph)

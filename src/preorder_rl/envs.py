@@ -11,9 +11,10 @@ Three small worlds exercise the priority machinery:
 Each environment declares its parameters once, in a ``PARAMS`` table of
 defaults, and a param is typed by its default: an int param takes any
 integer, a float param any finite real number, a str param a string,
-and a bool is never a number.  A mistyped param raises ``TypeError``
-naming it, which a run config reports as an ``env.params`` error (exit
-code 2 from the CLI).
+and a bool is never a number.  This is the library's one form rule
+(``errors._integer``, ``_real`` and ``_string``), applied when the
+environment is built: a mistyped param raises ``ConfigError`` naming it,
+as a mistyped ``EnvSpec`` field does (exit code 2 from the CLI).
 
 Environments are stateful: ``reset(rng)`` returns the initial state id
 and ``step(action, rng)`` advances the episode.  All randomness flows
@@ -22,15 +23,13 @@ through the generator passed in, so runs are reproducible.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError, InvalidAction, _integer
+from .errors import ConfigError, InvalidAction, _integer, _real, _string
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,11 @@ class EnvSpec:
     params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _string(self.name, "name")
         if _integer(self.episode_cap, "episode_cap") < 1:
             raise ConfigError(f"episode_cap must be >= 1, got {self.episode_cap}")
+        if not isinstance(self.params, Mapping):
+            raise ConfigError(f"params must be a mapping, got {self.params!r}")
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
 
@@ -63,28 +65,17 @@ class StepResult:
     progress: float = 0.0
 
 
-# The type of a param's default is the type of the param.
-_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
-          str: (str, "a string")}
-
-
 def _params(env, spec: EnvSpec) -> None:
     """Set each ``env.PARAMS`` entry as an attribute of the same name,
     ``spec.params`` taking precedence over the defaults, each checked
-    against the type of its default."""
+    by the form rule of its default's type."""
     unknown = set(spec.params) - set(env.PARAMS)
     if unknown:
         raise ConfigError(f"unknown params for env {spec.name!r}: {sorted(unknown)}")
     env.spec = spec
     for name, default in env.PARAMS.items():
-        value, kind = spec.params.get(name, default), type(default)
-        accepted, what = _KINDS[kind]
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise TypeError(f"{name} must be {what}, got {value!r}")
-        # Not math.isfinite, which overflows on an integer beyond float range.
-        if kind is float and not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{name} must be finite, got {value!r}")
-        setattr(env, name, kind(value))
+        form = {int: _integer, float: _real, str: _string}[type(default)]
+        setattr(env, name, form(spec.params.get(name, default), name))
 
 
 class ConflictBandit:

@@ -1,4 +1,5 @@
-"""Exception types shared across the library, and the setting checks that raise them."""
+"""Exception types shared across the library, and the only form rules for
+settings, each applied once by the object the setting fills."""
 
 import numbers
 import sys
@@ -49,3 +50,10 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be one integer, got {value!r}")
     return int(value)
+
+
+def _string(value, name: str) -> str:
+    """``value`` as one str; anything else raises, naming ``name``."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be one string, got {value!r}")
+    return value

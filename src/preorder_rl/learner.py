@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comparators import ComparatorConfig, HeadStack, _last_axis_mean, midpoint_fractions
-from .errors import ConfigError, EmptySetError, _integer, _real
+from .errors import ConfigError, EmptySetError, _integer, _real, _string
 from .preorder import PreorderGraph
 from .selection import SelectionState, global_leaf_survivors, sample_action, select
 
@@ -71,12 +71,12 @@ class EpsilonSchedule:
 
 def _reals(values, name: str, count: int) -> tuple[float, ...]:
     """``values`` as ``count`` finite floats; a string, a bare number or a
-    bool entry raises, naming ``name``."""
+    bool entry raises, naming ``name`` or the entry ``name[i]``."""
     if not isinstance(values, (list, tuple, np.ndarray)):
         raise ConfigError(f"{name} must be a sequence of real numbers, got {values!r}")
     if len(values) != count:
-        raise ConfigError(f"expected {count} {name}, got {len(values)}")
-    return tuple(_real(v, name) for v in values)
+        raise ConfigError(f"{name} must hold {count} values, got {len(values)}")
+    return tuple(_real(v, f"{name}[{i}]") for i, v in enumerate(values))
 
 
 @dataclass
@@ -109,10 +109,10 @@ class LearnerConfig:
     initial_value: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}, expected one of {MODES}")
+        if _string(self.mode, "mode") not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if _integer(self.n_objectives, "n_objectives") < 1:
-            raise ConfigError(f"need at least one objective, got {self.n_objectives}")
+            raise ConfigError(f"n_objectives must be >= 1, got {self.n_objectives}")
         self.gammas = _reals(self.gammas, "gammas", self.n_objectives)
         if any(not (0.0 <= g < 1.0) for g in self.gammas):
             raise ConfigError(f"gammas must lie in [0, 1), got {self.gammas}")
@@ -134,7 +134,7 @@ class LearnerConfig:
         if self.weights is not None:
             self.weights = _reals(self.weights, "weights", self.n_objectives)
         elif self.mode == WEIGHTED_SUM:
-            raise ConfigError("weighted-sum mode needs weights")
+            raise ConfigError("weights are required by weighted-sum mode")
         if not isinstance(self.comparator, ComparatorConfig):
             raise ConfigError(f"comparator must be one ComparatorConfig, got {self.comparator!r}")
         if not isinstance(self.training_preorder, bool):
@@ -366,6 +366,7 @@ def train(env, config: LearnerConfig, graph: PreorderGraph, seed: int,
     during an episode, such as a diverging estimate, is re-raised with
     ``episode N:`` in front of its message.
     """
+    episodes = _integer(episodes, "episodes")
     _check_env(env, config, graph)
     rng = np.random.default_rng(seed)
     tensor = QuantileTensor.zeros(config.n_heads, env.n_states, env.n_actions,
@@ -394,6 +395,7 @@ def evaluate(env, tensor: QuantileTensor, config: LearnerConfig, graph: Preorder
     ``memo`` may be shared by every evaluation of the same unchanged
     tensor; a fresh one is used when it is None.
     """
+    episodes = _integer(episodes, "episodes")
     _check_env(env, config, graph)
     rng = np.random.default_rng(seed)
     memo = {} if memo is None else memo

@@ -13,9 +13,25 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CycleError
+from .errors import ConfigError, CycleError, _integer, _string
 
 ObjectiveId = int
+
+
+def _items(values, name: str) -> Iterable:
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ConfigError(f"{name} must be a sequence, got {values!r}")
+    return values
+
+
+def _edges(edges) -> frozenset[tuple[int, int]]:
+    pairs = set()
+    for i, edge in enumerate(_items(edges, "edges")):
+        name = f"edges[{i}]"
+        if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+            raise ConfigError(f"{name} must be one (higher, lower) pair, got {edge!r}")
+        pairs.add((_integer(edge[0], f"{name}[0]"), _integer(edge[1], f"{name}[1]")))
+    return frozenset(pairs)
 
 
 class PreorderGraph:
@@ -36,6 +52,8 @@ class PreorderGraph:
       direct parents in ascending order.
 
     Raises:
+        ConfigError: a field of the wrong form, named: ``n_objectives``,
+            ``edges[i]`` (one (higher, lower) pair of integers) or ``names``.
         IndexError: an edge endpoint is outside ``0..n_objectives-1``.
         CycleError: the edges contain a self-loop or a directed cycle.
     """
@@ -49,10 +67,10 @@ class PreorderGraph:
         edges: Iterable[tuple[int, int]] = (),
         names: Sequence[str] | None = None,
     ) -> None:
-        n = int(n_objectives)
+        n = _integer(n_objectives, "n_objectives")
         if n < 1:
-            raise ValueError(f"need at least one objective, got {n}")
-        edge_set = frozenset((int(h), int(l)) for h, l in edges)
+            raise ConfigError(f"n_objectives must be >= 1, got {n}")
+        edge_set = _edges(edges)
         adjacency = np.zeros((n, n), dtype=bool)
         for high, low in edge_set:
             if not (0 <= high < n) or not (0 <= low < n):
@@ -63,9 +81,9 @@ class PreorderGraph:
         if names is None:
             names = tuple(f"obj{i}" for i in range(n))
         else:
-            names = tuple(str(s) for s in names)
+            names = tuple(_string(s, f"names[{i}]") for i, s in enumerate(_items(names, "names")))
             if len(names) != n:
-                raise ValueError(f"expected {n} names, got {len(names)}")
+                raise ConfigError(f"names must hold {n} values, got {len(names)}")
 
         rows = adjacency.tolist()
         parents = tuple(frozenset(i for i in range(n) if rows[i][j]) for j in range(n))

@@ -74,7 +74,7 @@ def run_train(config: RunConfig, out_dir, seeds=None, jobs: int = 1) -> Path:
     ``seeds`` and ``jobs`` are checked before anything is written.
     """
     seeds = config.seeds if seeds is None else _seeds(seeds, "seeds")
-    if jobs < 1:
+    if _integer(jobs, "jobs") < 1:
         raise ConfigError(f"jobs: must be >= 1, got {jobs}")
     env = make_env(config.env)
     for variant in config.variants:

@@ -154,24 +154,24 @@ def test_errors_name_the_offending_field() -> None:
         parse_config({})
     with pytest.raises(ConfigError, match="schema_version: expected 1, got 2"):
         parse_config(minimal(schema_version=2))
-    with pytest.raises(ConfigError, match="expected int, got bool"):
+    with pytest.raises(ConfigError, match="^config.schema_version must be one integer, got True"):
         parse_config(minimal(schema_version=True))
-    with pytest.raises(ConfigError, match="env.name: expected str"):
+    with pytest.raises(ConfigError, match="^env: name must be one string, got 7"):
         parse_config(minimal(env={"name": 7}))
     with pytest.raises(ConfigError, match="env:"):
         parse_config(minimal(env={"name": "conflict-bandit", "params": {"turbo": 1}}))
     with pytest.raises(ConfigError, match="preorder.n_objectives: missing"):
         parse_config(minimal(preorder={}))
-    with pytest.raises(ConfigError, match=r"preorder.edges\[0\]"):
+    with pytest.raises(ConfigError, match=r"^preorder: edges\[0\] must be one \(higher, lower\) pair"):
         parse_config(minimal(preorder={"n_objectives": 2, "edges": [[0, 1, 2]]}))
     with pytest.raises(ConfigError, match="preorder:"):
         parse_config(minimal(preorder={"n_objectives": 2, "edges": [[0, 1], [1, 0]]}))
-    with pytest.raises(ConfigError, match="learner.gammas: expected 2 values, got 3"):
+    with pytest.raises(ConfigError, match="^learner: gammas must hold 2 values, got 3"):
         parse_config(minimal(learner={"gammas": [0.9, 0.9, 0.9]}))
     with pytest.raises(ConfigError, match="learner: unknown fields"):
         parse_config(minimal(learner={"momentum": 0.9}))
     with pytest.raises(ConfigError,
-                       match="learner.gammas: expected a number or a list of numbers"):
+                       match="^learner: gammas must be a sequence of real numbers, got True"):
         parse_config(minimal(learner={"gammas": True}))
     with pytest.raises(ConfigError, match="config.episodes: must be >= 1"):
         parse_config(minimal(episodes=0))
@@ -194,13 +194,13 @@ def test_variant_errors_name_the_offending_entry() -> None:
         parse_config(minimal(variants=["pr"]))
     with pytest.raises(ConfigError, match=r"variants\[0\].label"):
         parse_config(minimal(variants=[{"label": "has space"}]))
-    with pytest.raises(ConfigError, match=r"variants\[1\].mode"):
+    with pytest.raises(ConfigError, match=r"^variants\[1\]: mode must be one of"):
         parse_config(minimal(variants=[{"label": "a"}, {"label": "b", "mode": "maximal"}]))
     with pytest.raises(ConfigError, match=r"variants\[0\].comparator"):
         parse_config(minimal(variants=[{"label": "a", "comparator": {"kind": "median"}}]))
     with pytest.raises(ConfigError, match=r"variants\[0\].comparator: unknown fields"):
         parse_config(minimal(variants=[{"label": "a", "comparator": {"tau": 0.5}}]))
-    with pytest.raises(ConfigError, match=r"variants\[0\].weights: required"):
+    with pytest.raises(ConfigError, match=r"^variants\[0\]: weights are required"):
         parse_config(minimal(variants=[{"label": "a", "mode": "weighted-sum"}]))
     with pytest.raises(ConfigError, match="must match the base preorder"):
         parse_config(minimal(variants=[{"label": "a", "preorder": {"n_objectives": 3}}]))
@@ -232,24 +232,26 @@ def test_shared_learner_values_are_blamed_on_the_learner_block(learner, message)
         parse_config(raw)
 
 
-@pytest.mark.parametrize(("entry", "kind"), [("0.9", "str"), (False, "bool"), (None, "NoneType")])
-def test_gamma_list_entries_must_be_numbers(entry, kind) -> None:
+@pytest.mark.parametrize("entry", ["0.9", False, None],
+                         ids=["0.9-str", "False-bool", "None-NoneType"])
+def test_gamma_list_entries_must_be_numbers(entry) -> None:
     raw = minimal(learner={"gammas": [0.9, entry]})
-    with pytest.raises(ConfigError, match=rf"learner.gammas\[1\]: expected float, got {kind}"):
+    message = f"learner: gammas[1] must be one real number, got {entry!r}"
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
         parse_config(raw)
 
 
-@pytest.mark.parametrize(("entry", "kind"), [("1", "str"), (True, "bool"), ([1], "list")])
-def test_weight_list_entries_must_be_numbers(entry, kind) -> None:
+@pytest.mark.parametrize("entry", ["1", True, [1]], ids=["1-str", "True-bool", "entry2-list"])
+def test_weight_list_entries_must_be_numbers(entry) -> None:
     raw = minimal(variants=[{"label": "ws", "mode": "weighted-sum", "weights": [1, entry]}])
-    with pytest.raises(ConfigError,
-                       match=rf"variants\[0\].weights\[1\]: expected float, got {kind}"):
+    message = f"variants[0]: weights[1] must be one real number, got {entry!r}"
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
         parse_config(raw)
 
 
 @pytest.mark.parametrize(("params", "message"), [
-    ({"width": 7.9}, "env.params: width must be an integer, got 7.9"),
-    ({"width": "9"}, "env.params: width must be an integer, got '9'"),
+    ({"width": 7.9}, "env: width must be one integer, got 7.9"),
+    ({"width": "9"}, "env: width must be one integer, got '9'"),
     ({"lane_halfwidth": -3}, "env: lane_halfwidth must be >= 0, got -3")])
 def test_env_integer_params_are_config_errors(params, message) -> None:
     raw = minimal(env={"name": "crossing-grid", "params": params})

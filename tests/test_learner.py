@@ -34,6 +34,7 @@ from preorder_rl.preorder import PreorderGraph, build_graph
 from preorder_rl.selection import select
 
 from ._reference import ref_load_tensor, ref_tensor_csv
+from .test_forms import WRONG_FORMS, form_id
 
 ONE = build_graph(1, [])
 CHAIN2 = build_graph(2, [(0, 1)])
@@ -91,6 +92,11 @@ def test_learner_config_validation() -> None:
         LearnerConfig(**{**good, "initial_value": float("nan")})
 
 
+LEARNER_FORMS = (("n_objectives", int), ("learning_rate", float), ("learning_rate_end", float),
+                 ("quantile_count", int), ("mode", str), ("training_preorder", bool),
+                 ("huber_kappa", float), ("initial_value", float))
+
+
 @pytest.mark.parametrize(("field", "value"), [
     ("comparator", "qd"),
     ("comparator", (ComparatorConfig(),) * 2),
@@ -99,11 +105,18 @@ def test_learner_config_validation() -> None:
     ("weights", "12"),
     ("weights", (True, False)),
     ("gammas", 0.9),
-    ("gammas", "09")])
+    ("gammas", "09")]
+    # None is the unset learning_rate_end, so it is the right form there.
+    + [(field, value) for field, kind in LEARNER_FORMS for value in WRONG_FORMS[kind]
+       if not (field == "learning_rate_end" and value is None)]
+    + [(field, value) for field in ("gammas", "weights") for value in (True, None, 10**400)]
+    + [(field, (0.9, value)) for field in ("gammas", "weights") for value in WRONG_FORMS[float]]
+    + [(field, value) for field in ("comparator", "epsilon") for value in (True, None, 0.5)],
+    ids=form_id)
 def test_each_setting_takes_one_form(field, value) -> None:
     good = dict(n_objectives=2, gammas=(0.9, 0.9), mode=WEIGHTED_SUM, weights=(1.0, 1.0))
     LearnerConfig(**good)
-    with pytest.raises(ConfigError, match=f"^{field} "):
+    with pytest.raises(ConfigError, match=rf"^{field}[ \[]"):
         LearnerConfig(**{**good, field: value})
 
 
@@ -132,7 +145,8 @@ def test_setting_of_the_wrong_form_is_a_config_error_naming_it(make, field, valu
 @pytest.mark.parametrize("field", ["gammas", "learning_rate", "huber_kappa", "initial_value"])
 def test_integer_beyond_float_range_is_a_config_error(field) -> None:
     huge = (10**400,) if field == "gammas" else 10**400
-    with pytest.raises(ConfigError, match=f"^{field} must be finite, got an integer beyond"):
+    name = re.escape("gammas[0]") if field == "gammas" else field
+    with pytest.raises(ConfigError, match=f"^{name} must be finite, got an integer beyond"):
         LearnerConfig(**{"n_objectives": 1, "gammas": (0.9,), field: huge})
 
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from preorder_rl.errors import CycleError
+from preorder_rl.errors import ConfigError, CycleError
 from preorder_rl.preorder import PreorderGraph, build_graph
 
 from ._reference import ref_topological_order
@@ -66,6 +67,22 @@ def test_out_of_range_edge_rejected() -> None:
         build_graph(2, [(0, 2)])
     with pytest.raises(IndexError):
         build_graph(2, [(-1, 0)])
+
+
+@pytest.mark.parametrize(("args", "message"), [
+    ((2.5,), "n_objectives must be one integer, got 2.5"),
+    ((True,), "n_objectives must be one integer, got True"),
+    (("3",), "n_objectives must be one integer, got '3'"),
+    ((3, [(0, 1.9)]), "edges[0][1] must be one integer, got 1.9"),
+    ((3, [(0, 1), (True, 0)]), "edges[1][0] must be one integer, got True"),
+    ((3, [(0, 1, 2)]), "edges[0] must be one (higher, lower) pair, got (0, 1, 2)")],
+    ids=["float-count", "bool-count", "string-count", "float-endpoint", "bool-endpoint",
+         "three-item-edge"])
+def test_wrong_forms_are_config_errors_naming_the_field(args, message) -> None:
+    # Each was coerced by int() or unpacked bare before: 2.5 built 2 objectives,
+    # True 1, '3' 3, (0, 1.9) became (0, 1), and a 3-item edge raised ValueError.
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        build_graph(*args)
 
 
 def test_empty_graph_rejected() -> None:

@@ -213,8 +213,11 @@ def test_train_accepts_seed_subset(tmp_path) -> None:
     ({"seeds": (-1,)}, "seeds: expected a non-empty list of ints >= 0"),
     ({"seeds": (0, 0)}, "seeds: duplicate seeds"),
     ({"seeds": ()}, "seeds: expected a non-empty list of ints >= 0"),
-    ({"jobs": 0}, "jobs: must be >= 1, got 0")],
-    ids=["negative-seed", "duplicate-seeds", "no-seeds", "zero-jobs"])
+    ({"jobs": 0}, "jobs: must be >= 1, got 0"),
+    # 2.5 wrote config.json before a bare TypeError, and True trained serially.
+    ({"jobs": 2.5}, "jobs must be one integer, got 2.5"),
+    ({"jobs": True}, "jobs must be one integer, got True")],
+    ids=["negative-seed", "duplicate-seeds", "no-seeds", "zero-jobs", "float-jobs", "bool-jobs"])
 def test_train_rejects_bad_seeds_and_jobs_before_writing(tmp_path, kwargs, message) -> None:
     # Library callers get the rules the config and the CLI apply.
     config = parse_config(bandit_raw())
