@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,11 +50,11 @@ class EnvSpec:
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     """One transition: successor state id, reward vector, and episode flags.
 
     ``progress`` is the fraction of the route completed so far, in [0, 1].
+    A named tuple: it unpacks and compares equal to a plain tuple.
     """
 
     next_state: int
@@ -154,14 +155,15 @@ class ChainMDP:
 class CrossingGrid:
     """Cross a road of wrap-around traffic, bottom row to top row.
 
-    The grid is ``width`` columns by ``height`` rows.  The agent starts
-    in the middle of row 0 and must reach row height-1, the only row
-    without traffic; every other row carries a convoy of evenly spread
-    cars that advance one column per step, with direction and phase
-    drawn per row at reset.  There is no safe place to park: standing
-    still means a car eventually runs the agent over.  Actions: stay,
-    advance one row, advance two rows, shift left, shift right.  The
-    two-row advance also checks the cell it passes through.
+    The grid is ``width`` columns by ``height`` rows, each side from 3
+    up to ``MAX_SIDE`` (256) cells.  The agent starts in the middle of
+    row 0 and must reach row height-1, the only row without traffic;
+    every other row carries a convoy of evenly spread cars that advance
+    one column per step, with direction and phase drawn per row at
+    reset.  There is no safe place to park: standing still means a car
+    eventually runs the agent over.  Actions: stay, advance one row,
+    advance two rows, shift left, shift right.  The two-row advance
+    also checks the cell it passes through.
 
     Rewards, one objective each, in priority order:
 
@@ -182,13 +184,16 @@ class CrossingGrid:
     off-grid cells count as blocked.  The far cell of the two-row
     advance is not observed, so the fast move is always a gamble.
 
-    Each traffic row is one int bitmask, bit ``c`` set when a car stands
-    in column ``c``, and a car advance rotates it by one column.  For
-    byte-identical reruns ``reset`` draws, per traffic row from the
-    bottom up, one ``rng.random()`` for the direction (right when below
-    0.5) and then one ``rng.integers(width)`` for the phase; car ``i``
-    of the row starts in column ``(phase + width * i // cars_per_row) %
-    width``.
+    The traffic is two ints over the whole grid, bit ``row * width +
+    col`` set when a car stands in that cell: one holds the cars of the
+    right-moving rows, the other those of the left-moving rows.  A car
+    advance shifts each int by one bit and carries the cars of the edge
+    column it leaves across their row to the other edge, so every car
+    stays in its own row.  For byte-identical reruns ``reset`` draws,
+    per traffic row from the bottom up, one ``rng.random()`` for the
+    direction (right when below 0.5) and then one ``rng.integers(width)``
+    for the phase; car ``i`` of the row starts in column ``(phase +
+    width * i // cars_per_row) % width``.
     """
 
     STAY = 0
@@ -197,11 +202,13 @@ class CrossingGrid:
     LEFT = 3
     RIGHT = 4
 
-    # Cells each action passes through, as (row, column) offsets.
-    _PATHS = {STAY: ((0, 0),), SLOW: ((1, 0),), FAST: ((1, 0), (2, 0)),
-              LEFT: ((0, -1),), RIGHT: ((0, 1),)}
+    # Cells each action passes through: one column offset, then the row
+    # offsets in the order they are crossed.
+    _PATHS = {STAY: (0, (0,)), SLOW: (0, (1,)), FAST: (0, (1, 2)),
+              LEFT: (-1, (0,)), RIGHT: (1, (0,))}
     _SPEED = {STAY: 0, SLOW: 1, FAST: 2, LEFT: 1, RIGHT: 1}
     _DENSITY = {"low": 2, "mid": 3, "high": 4}
+    MAX_SIDE = 256
     PARAMS = {"width": 7, "height": 5, "density": "mid", "lane_halfwidth": 0,
               "crash_penalty": -1.0, "risk_penalty": -0.2, "lane_penalty": -0.1,
               "progress_per_row": 0.1, "goal_bonus": 0.3, "comfort_penalty": -0.05}
@@ -213,6 +220,9 @@ class CrossingGrid:
         width, height = self.width, self.height
         if width < 3 or height < 3:
             raise ConfigError(f"grid must be at least 3x3, got {width}x{height}")
+        for name in ("width", "height"):
+            if getattr(self, name) > self.MAX_SIDE:
+                raise ConfigError(f"{name} must be <= {self.MAX_SIDE}, got {getattr(self, name)}")
         if self.density not in self._DENSITY:
             raise ConfigError(f"density must be one of {sorted(self._DENSITY)}, "
                               f"got {self.density!r}")
@@ -226,10 +236,13 @@ class CrossingGrid:
         # The row-0 convoy at phase 0; reset rotates it by the drawn phase.
         self._convoy = sum(1 << (width * i // self.cars_per_row)
                            for i in range(self.cars_per_row))
-        # Car bitmask and left-rotation per traffic row, bottom up: a
-        # rotation of 1 moves the cars right, width - 1 moves them left.
-        self._lanes: list[int] = []
-        self._shifts: list[int] = []
+        # Column 0 and column width-1 of every row, where an advance wraps.
+        self._first = sum(1 << row * width for row in range(height))
+        self._last = self._first << width - 1
+        # Bits 0-2 of three consecutive rows: a 3x3 window.
+        self._window = 0b111 * (1 | 1 << width | 1 << 2 * width)
+        # Right- and left-moving cars now, and after the next advance.
+        self._cars = self._coming = (0, 0)
         self._row = 0
         self._col = width // 2
         self._speed = 0
@@ -237,111 +250,87 @@ class CrossingGrid:
     def reset(self, rng: np.random.Generator) -> int:
         # Evenly spread convoys, random phase and direction per row: a
         # small pattern space keeps every car constellation revisited.
-        self._lanes, self._shifts = [], []
-        for _ in range(self.height - 1):
-            self._shifts.append(1 if rng.random() < 0.5 else self.width - 1)
-            self._lanes.append(self._rotate(self._convoy, int(rng.integers(self.width))))
+        width, convoy = self.width, self._convoy
+        cars = [0, 0]
+        for row in range(self.height - 1):
+            leftward = rng.random() >= 0.5
+            phase = int(rng.integers(width))
+            lane = (convoy << phase | convoy >> width - phase) & self._full
+            cars[leftward] |= lane << row * width
+        self._cars = tuple(cars)
         self._row = 0
-        self._col = self.width // 2
+        self._col = width // 2
         self._speed = 0
-        return self._state_id()
+        return self._observe()
 
     def step(self, action: int, rng: np.random.Generator) -> StepResult:
         if action not in self._PATHS:
             raise InvalidAction(f"action {action} outside 0..{self.n_actions - 1}")
+        width, top = self.width, self.height - 1
         row, col = self._row, self._col
-        path = [(min(row + dr, self.height - 1), col + dc) for dr, dc in self._PATHS[action]]
+        dc, rows = self._PATHS[action]
+        self._cars = self._coming
+        cars = self._coming[0] | self._coming[1]
 
-        offroad = path[-1][1] < 0 or path[-1][1] >= self.width
-        self._advance_cars()
+        end_row, end_col = min(row + rows[-1], top), col + dc
+        offroad = not 0 <= end_col < width
         collision = False
-        end_row, end_col = path[-1]
+        risk = 0.0
         if not offroad:
-            for r, c in path:
-                if self._occupied(r, c):
+            for dr in rows:
+                cell_row = min(row + dr, top)
+                if cars >> cell_row * width + end_col & 1:
                     collision = True
-                    end_row, end_col = r, c
+                    end_row = cell_row
                     break
-
-        at_goal = not collision and not offroad and end_row == self.height - 1
+            # The 3x3 block around the end cell, less a column past an
+            # edge, which would read the neighbouring row.
+            window = self._window
+            if end_col == 0:
+                window &= ~self._first
+            elif end_col == width - 1:
+                window &= ~(self._first << 2)
+            if cars << width + 1 >> end_row * width + end_col & window:
+                risk = self.risk_penalty
+        at_goal = not collision and not offroad and end_row == top
         safety = self.crash_penalty if (collision or offroad) else 0.0
-        risk = self.risk_penalty if (not offroad and self._car_adjacent(end_row, end_col)) else 0.0
-        lane = self.lane_penalty if abs(end_col - self.width // 2) > self.lane_halfwidth else 0.0
+        lane = self.lane_penalty if abs(end_col - width // 2) > self.lane_halfwidth else 0.0
         progress = self.progress_per_row * (end_row - row) + (self.goal_bonus if at_goal else 0.0)
         comfort = self.comfort_penalty if self._SPEED[action] != self._speed else 0.0
 
-        self._row, self._col = end_row, min(max(end_col, 0), self.width - 1)
+        self._row, self._col = end_row, min(max(end_col, 0), width - 1)
         self._speed = self._SPEED[action]
-        terminal = collision or offroad or at_goal
-        return StepResult(
-            self._state_id(),
-            (safety, risk, lane, progress, comfort),
-            terminal,
-            collision=collision,
-            offroad=offroad,
-            success=at_goal,
-            progress=end_row / (self.height - 1),
-        )
+        return StepResult(self._observe(), (safety, risk, lane, progress, comfort),
+                          collision or offroad or at_goal, collision, offroad, at_goal,
+                          end_row / top)
 
-    def _rotate(self, mask: int, shift: int) -> int:
-        return (mask << shift | mask >> (self.width - shift)) & self._full
-
-    def _advance_cars(self) -> None:
-        self._lanes = [self._rotate(mask, shift)
-                       for mask, shift in zip(self._lanes, self._shifts)]
-
-    def _lane(self, row: int) -> int:
-        # A list index of -1 would wrap to the top traffic row.
-        return self._lanes[row] if 0 <= row < len(self._lanes) else 0
-
-    def _occupied(self, row: int, col: int) -> bool:
-        # Callers pass on-grid cells only: a negative shift raises.
-        return bool(self._lane(row) >> col & 1)
-
-    def _car_adjacent(self, row: int, col: int) -> bool:
-        # Columns col-1, col and col+1 land on bits 0-2; no wrap-around.
-        cars = self._lane(row - 1) | self._lane(row) | self._lane(row + 1)
-        return bool(cars << 1 >> col & 0b111)
-
-    def _blocked_next(self, row: int, col: int) -> bool:
-        if col < 0 or col >= self.width:
-            return True
-        if not 0 <= row < len(self._lanes):
-            return False
-        # Cars move deterministically: the cell is blocked next step
-        # when the car one column upstream sits there now.
-        source = (col - self._shifts[row]) % self.width
-        return bool(self._lanes[row] >> source & 1)
-
-    def _threat_bits(self, row: int, col: int) -> int:
-        # One bit per single-step destination; the two-row advance's far
-        # cell is deliberately unobserved.
-        cells = ((row, col - 1), (row + 1, col), (row, col + 1), (row, col))
-        bits = 0
-        for slot, (r, c) in enumerate(cells):
-            if self._blocked_next(r, c):
-                bits |= 1 << slot
-        return bits
-
-    def _state_id(self) -> int:
-        return (self._row * self.width + self._col) * 16 + self._threat_bits(self._row, self._col)
+    def _observe(self) -> int:
+        """The state id, after storing the next car advance it observes."""
+        right, left = self._cars
+        width, row, col = self.width, self._row, self._col
+        wrap_right, wrap_left = right & self._last, left & self._first
+        self._coming = ((right ^ wrap_right) << 1 | wrap_right >> width - 1,
+                        (left ^ wrap_left) >> 1 | wrap_left << width - 1)
+        cell = row * width + col
+        # Bits 0-2 of `near` are columns col-1, col and col+1 of the
+        # agent's row after the advance, bit width + 1 the cell ahead.
+        # Threat slots 0-3: left neighbour (blocked when off-grid), cell
+        # ahead, right neighbour (likewise) and own cell; the two-row
+        # advance's far cell is deliberately unobserved.
+        near = (self._coming[0] | self._coming[1]) << 1 >> cell
+        threat = ((near | (col == 0) | (col == width - 1) << 2) & 0b101
+                  | near >> width & 0b10 | near << 2 & 0b1000)
+        return cell * 16 + threat
 
     def render(self) -> str:
         """Plain-text picture, goal row on top."""
-        rows = []
-        for row in reversed(range(self.height)):
-            cells = []
-            for col in range(self.width):
-                if (row, col) == (self._row, self._col):
-                    cells.append("E")
-                elif self._occupied(row, col):
-                    cells.append(">" if self._shifts[row] == 1 else "<")
-                elif row == self.height - 1:
-                    cells.append("=")
-                else:
-                    cells.append(".")
-            rows.append(" ".join(cells))
-        return "\n".join(rows)
+        right, left = self._cars
+        width, agent = self.width, self._row * self.width + self._col
+        glyphs = ["E" if bit == agent else ">" if right >> bit & 1 else "<" if left >> bit & 1
+                  else "=" if bit >= (self.height - 1) * width else "."
+                  for bit in range(self.height * width)]
+        return "\n".join(" ".join(glyphs[row * width:(row + 1) * width])
+                         for row in reversed(range(self.height)))
 
 
 _ENV_TYPES = {"conflict-bandit": ConflictBandit, "chain-mdp": ChainMDP,

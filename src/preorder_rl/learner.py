@@ -35,6 +35,8 @@ bad head, and ``train`` adds the episode to the message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,8 +191,9 @@ class QuantileTensor:
         return QuantileTensor(self.values.copy(), self.fractions.copy())
 
 
-@dataclass(frozen=True)
-class VectorTransition:
+class VectorTransition(NamedTuple):
+    """One (state, action, rewards, next state, terminal) step for ``td_update``."""
+
     state: int
     action: int
     rewards: tuple[float, ...]
@@ -334,7 +337,7 @@ def _run_episode(env, tensor, config, graph, rng, episode, epsilon,
                  learning_rate, memo) -> EpisodeRecord:
     """Play one episode; learn at ``learning_rate`` unless it is None."""
     state = env.reset(rng)
-    returns = np.zeros(config.n_objectives)
+    returns = (0.0,) * config.n_objectives
     success = collision = offroad = False
     progress = 0.0
     for _ in range(env.spec.episode_cap):
@@ -344,7 +347,7 @@ def _run_episode(env, tensor, config, graph, rng, episode, epsilon,
             td_update(tensor, VectorTransition(state, action, result.rewards,
                                                result.next_state, result.terminal),
                       config, graph, learning_rate, memo=memo)
-        returns += result.rewards
+        returns = tuple(map(add, returns, result.rewards))
         success |= result.success
         collision |= result.collision
         offroad |= result.offroad

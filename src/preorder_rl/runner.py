@@ -50,13 +50,17 @@ def artifact_dir(config: RunConfig, out_dir, label: str, seed: int) -> Path:
 
 
 def _train_one(config: RunConfig, variant: Variant, seed: int, out_dir) -> Path:
+    """Train one (variant, seed) pair, then write ``config.json`` and its artifacts."""
     env = make_env(config.env)
     try:
         tensor, records = train(env, variant.learner, variant.graph, seed, config.episodes)
     except ValueError as exc:
         exc.args = (f"variant {variant.label}, seed {seed}: {exc}",)
         raise
-    target = artifact_dir(config, out_dir, variant.label, seed)
+    base = run_dir(config, out_dir)
+    base.mkdir(parents=True, exist_ok=True)
+    (base / "config.json").write_text(json.dumps(_keyed(config), indent=2, sort_keys=True) + "\n")
+    target = base / variant.label / str(seed)
     save_tensor(tensor, target / "tensor.csv")
     save_episode_log(records, target / "episodes.csv")
     return target
@@ -71,7 +75,8 @@ def _train_job(raw: dict, label: str, seed: int, out_dir: str) -> str:
 def run_train(config: RunConfig, out_dir, seeds=None, jobs: int = 1) -> Path:
     """Train every variant for every seed; returns the run directory.
 
-    ``seeds`` and ``jobs`` are checked before anything is written.
+    ``seeds`` and ``jobs`` are checked before anything is written; the
+    run directory appears with the first pair that trains without error.
     """
     seeds = config.seeds if seeds is None else _seeds(seeds, "seeds")
     if _integer(jobs, "jobs") < 1:
@@ -79,9 +84,6 @@ def run_train(config: RunConfig, out_dir, seeds=None, jobs: int = 1) -> Path:
     env = make_env(config.env)
     for variant in config.variants:
         _check_env(env, variant.learner, variant.graph)
-    base = run_dir(config, out_dir)
-    base.mkdir(parents=True, exist_ok=True)
-    (base / "config.json").write_text(json.dumps(_keyed(config), indent=2, sort_keys=True) + "\n")
     pairs = [(variant, seed) for variant in config.variants for seed in seeds]
     if jobs > 1:
         # Imported here: the pool pulls in multiprocessing, which serial runs never use.
@@ -95,7 +97,7 @@ def run_train(config: RunConfig, out_dir, seeds=None, jobs: int = 1) -> Path:
     else:
         for variant, seed in pairs:
             _train_one(config, variant, seed, out_dir)
-    return base
+    return run_dir(config, out_dir)
 
 
 def run_evaluate(config: RunConfig, out_dir, seeds=None) -> Path:

@@ -376,6 +376,17 @@ def test_huge_json_integer_exits_2_naming_the_field(tmp_path, capsys, overrides,
     assert not out.exists()
 
 
+def test_oversized_grid_exits_2_naming_the_side(tmp_path, capsys) -> None:
+    # Accepted before the grid had a size bound; reset then looped over 10**400 rows.
+    config = write_config(
+        tmp_path, env={"name": "crossing-grid", "params": {"height": 10**400}},
+        preorder={"n_objectives": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]})
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert "env: height must be <= 256" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", float("nan")], ids=["string", "json-literal"])
 def test_non_finite_env_param_exits_2_before_train_writes(tmp_path, capsys, value) -> None:
     # float("nan") is written as the JSON NaN literal, which json.loads accepts.

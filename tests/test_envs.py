@@ -7,7 +7,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from preorder_rl.envs import _ENV_TYPES, ChainMDP, ConflictBandit, CrossingGrid, EnvSpec, make_env
+from preorder_rl.envs import (
+    _ENV_TYPES,
+    ChainMDP,
+    ConflictBandit,
+    CrossingGrid,
+    EnvSpec,
+    StepResult,
+    make_env,
+)
 from preorder_rl.errors import ConfigError, InvalidAction
 
 from .test_forms import WRONG_FORMS
@@ -62,6 +70,16 @@ def test_env_spec_rejects_a_cap_that_is_not_an_integer(cap) -> None:
     # Accepted, a float cap would fail later in range() and True would cap at 1.
     with pytest.raises(ConfigError, match="episode_cap must be one integer"):
         EnvSpec("chain-mdp", episode_cap=cap)
+
+
+def test_step_result_is_an_immutable_named_tuple() -> None:
+    # The stream digests below hash this repr.
+    result = StepResult(3, (0.0, -1.0), True, collision=True)
+    assert repr(result) == ("StepResult(next_state=3, rewards=(0.0, -1.0), terminal=True, "
+                            "collision=True, offroad=False, success=False, progress=0.0)")
+    assert result == (3, (0.0, -1.0), True, True, False, False, 0.0)
+    with pytest.raises(AttributeError):
+        result.terminal = False  # type: ignore[misc]
 
 
 def test_bandit_safe_arm_is_deterministic() -> None:
@@ -165,6 +183,17 @@ def test_grid_validates_geometry_and_density() -> None:
         grid(density="rush-hour")
     with pytest.raises(ConfigError):
         grid(density="high", width=4)
+
+
+@pytest.mark.parametrize("side", ["width", "height"])
+def test_grid_sides_stop_at_the_documented_bound(side) -> None:
+    env = grid(**{side: CrossingGrid.MAX_SIDE})
+    assert getattr(env, side) == 256
+    rng = np.random.default_rng(0)
+    env.reset(rng)
+    assert 0 <= env.step(env.SLOW, rng).next_state < env.n_states
+    with pytest.raises(ConfigError, match=f"^{side} must be <= 256, got 257$"):
+        grid(**{side: 257})
 
 
 @pytest.mark.parametrize(("name", "param"), [
@@ -378,8 +407,9 @@ def test_render_shape_and_glyphs() -> None:
     assert expected - 1 <= len(cars) <= expected
 
 
-# sha256 of the transition stream below, recorded on the array-based
-# traffic model that the bitmask rows replaced.
+# sha256 of the transition stream below.  The first three were recorded
+# on the array-based traffic model that the per-row bitmasks replaced,
+# the fourth on the per-row bitmasks that the packed traffic ints replaced.
 STREAM_DIGESTS = (
     ({"density": "high", "risk_penalty": -0.5},
      "87def2944ef6385707729ea927713860b5b7f28a4e3e2f275162f1eaa12c7304"),
@@ -387,6 +417,9 @@ STREAM_DIGESTS = (
      "2b158bf2d3138a8fcf777920e61415cd971ccfbbe37f54b033911f4a8f9af4b3"),
     ({"density": "mid", "width": 9, "height": 6, "lane_halfwidth": 1},
      "9ae8c083c4dc1c442abf05d6d94fac8b09e062d75e4212cc429db5802a89f8fc"),
+    # 85 cells: the packed traffic ints outgrow one 64-bit machine word.
+    ({"density": "low", "width": 17, "height": 5},
+     "61899f863f5b7b591eec895842329c3e54f2d7c10379e561e7d642e54b846e62"),
 )
 
 

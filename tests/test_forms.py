@@ -1,8 +1,9 @@
 """One form rule at every settings boundary.
 
 Each library constructor and ``run_*`` entry point rejects a value of the
-wrong form with a ``ConfigError`` whose message starts with the field's
-name, before it reads or writes anything.  ``WRONG_FORMS`` is shared with
+wrong form, or one beyond a documented upper bound, with a
+``ConfigError`` whose message starts with the field's name, before it
+reads or writes anything.  ``WRONG_FORMS`` is shared with
 the env-param and ``LearnerConfig`` tables in ``test_envs.py`` and
 ``test_learner.py``.
 """
@@ -72,6 +73,7 @@ MAKERS = {
     "run_train": lambda out, **kw: _run(run_train, out, **kw),
     "run_evaluate": lambda out, **kw: _run(run_evaluate, out, **kw),
     "run_stats": _run_stats,
+    "make_env": lambda out, **kw: make_env(EnvSpec("crossing-grid", params=kw)),
 }
 
 SCALARS = [
@@ -96,8 +98,12 @@ COLLECTIONS = [
     ("run_evaluate", "seeds", (True, "0", 3) + tuple((0, value) for value in WRONG_FORMS[int])),
 ]
 
+# Values of the right form beyond a documented upper bound.
+OUT_OF_RANGE = [("make_env", "width", HUGE), ("make_env", "height", HUGE)]
+
 CASES = ([(maker, field, value) for maker, field, kind in SCALARS for value in WRONG_FORMS[kind]]
-         + [(maker, field, value) for maker, field, values in COLLECTIONS for value in values])
+         + [(maker, field, value) for maker, field, values in COLLECTIONS for value in values]
+         + OUT_OF_RANGE)
 
 
 @pytest.mark.parametrize(("maker", "field", "value"), CASES, ids=form_id)

@@ -40,6 +40,16 @@ ONE = build_graph(1, [])
 CHAIN2 = build_graph(2, [(0, 1)])
 
 
+def test_vector_transition_is_an_immutable_named_tuple() -> None:
+    transition = VectorTransition(2, 1, (0.5,), 3, False)
+    assert repr(transition) == ("VectorTransition(state=2, action=1, rewards=(0.5,), "
+                                "next_state=3, terminal=False)")
+    state, action, rewards, next_state, terminal = transition
+    assert (state, action, rewards, next_state, terminal) == (2, 1, (0.5,), 3, False)
+    with pytest.raises(AttributeError):
+        transition.state = 0  # type: ignore[misc]
+
+
 def single_config(**kw) -> LearnerConfig:
     args = dict(n_objectives=1, gammas=(0.9,), mode=PREORDER)
     args.update(kw)

@@ -246,6 +246,19 @@ def test_parallel_training_matches_serial(tmp_path) -> None:
             assert (parallel / rel).read_bytes() == (serial / rel).read_bytes()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failing_first_pair_leaves_no_run_directory(tmp_path, jobs) -> None:
+    # config.json used to be written before the first pair trained, so a
+    # diverging run left a key directory holding no tensor.
+    raw = bandit_raw()
+    raw["learner"]["learning_rate"] = 1e308
+    raw["seeds"], raw["variants"] = [0], raw["variants"][:1]
+    config = parse_config(raw)
+    with pytest.raises(ValueError, match=r"^variant pr, seed 0: episode \d+: "):
+        run_train(config, tmp_path, jobs=jobs)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_importing_the_runner_leaves_multiprocessing_unloaded() -> None:
     # Serial runs never start a pool, so they should not pay its imports.
     src = Path(__file__).resolve().parents[1] / "src"

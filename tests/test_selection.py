@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Sequence
 from dataclasses import asdict, replace
 
@@ -15,9 +16,12 @@ from preorder_rl.comparators import (
     action_scores,
     classify_pairs,
     midpoint_fractions,
+    score_heads,
 )
+from preorder_rl.config import parse_config
+from preorder_rl.envs import make_env
 from preorder_rl.errors import ConfigError, EmptySetError, ShapeMismatch
-from preorder_rl.learner import QuantileTensor
+from preorder_rl.learner import QuantileTensor, train
 from preorder_rl.preorder import build_graph
 from preorder_rl.selection import (
     aggregate_survivor_sets,
@@ -417,3 +421,27 @@ def test_roots_with_different_quantile_counts_keep_each_matrix_own_verdicts(kind
             alone = classify_pairs(m, config)
             assert np.array_equal(state.dom[obj], alone.dom)
             assert np.array_equal(state.dom_by[obj], alone.dom_by)
+
+
+# sha256 of the filter's output over every state of a small trained
+# grid tensor, recorded before the packed-traffic crossing grid; the
+# transition-stream and artifact digests miss a one-ulp score change.
+FILTER_GOLDEN = "3845408aa169af45850fe1f123d5a7c106a2a59e70564caf44f588400f21f645"
+
+
+def test_filter_output_on_a_trained_grid_tensor_matches_recorded_golden() -> None:
+    # Imported here: test_acceptance imports this module.
+    from .test_acceptance import GRID_CONFIG
+
+    config = parse_config({**GRID_CONFIG, "episodes": 200, "variants": GRID_CONFIG["variants"][:1]})
+    variant = config.variants[0]
+    tensor, _ = train(make_env(config.env), variant.learner, variant.graph, 0, config.episodes)
+    comparator = variant.learner.comparator
+    golden = hashlib.sha256()
+    for s in range(tensor.n_states):
+        chosen = select(variant.graph, tensor.matrices(s), comparator)
+        golden.update(score_heads(tensor.values[:, s], comparator).tobytes())
+        for array in (chosen.mask, chosen.dom, chosen.dom_by):
+            golden.update(array.tobytes())
+        golden.update(repr(chosen.fallbacks).encode())
+    assert golden.hexdigest() == FILTER_GOLDEN
