@@ -22,7 +22,7 @@ from preorder_rl.comparators import (
 steady = np.full(8, 1.0)
 gambler = np.linspace(-1.5, 4.5, 8)
 feeble = np.full(8, 0.2)
-matrix = QuantileMatrix.from_values(np.column_stack([steady, gambler, feeble]))
+matrix = QuantileMatrix(np.column_stack([steady, gambler, feeble]))
 print("fractions:", np.round(matrix.fractions, 3))
 print("means: steady 1.0, gambler 1.5, feeble 0.2")
 
@@ -48,7 +48,7 @@ for epsilon in (0.6, 0.2):
     print(f"  epsilon {epsilon}: dominating pairs {pairs}")
 
 # Affine changes of the reward scale never flip a verdict.
-shifted = QuantileMatrix.from_values(matrix.values * 40.0 - 7.0)
+shifted = QuantileMatrix(matrix.values * 40.0 - 7.0)
 base = classify_pairs(matrix, ComparatorConfig("qd", epsilon=0.2))
 moved = classify_pairs(shifted, ComparatorConfig("qd", epsilon=0.2))
 assert np.array_equal(base.dom, moved.dom)

@@ -17,7 +17,7 @@ graph = build_graph(3, [(0, 1), (1, 2)])
 
 
 def profile(columns: list[list[float]]) -> QuantileMatrix:
-    return QuantileMatrix.from_values(np.array(columns, dtype=float).T)
+    return QuantileMatrix(np.array(columns, dtype=float).T)
 
 
 # Four candidate actions.  Action 3 is unsafe; 0 and 1 tie on safety

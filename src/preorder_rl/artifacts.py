@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .comparators import QuantileMatrix, midpoint_fractions
-from .errors import MissingArtifact, ShapeMismatch
+from .errors import ConfigError, MissingArtifact, ShapeMismatch
 from .learner import EpisodeRecord, QuantileTensor
 
 TENSOR_HEADER = "objective,state,action,k,value"
@@ -304,7 +304,7 @@ def load_tensor(path, shape: tuple[int, int, int, int]) -> QuantileTensor:
         row = int(finite.argmin())
         raise ValueError(f"{path}, line {row + 2}: quantile values must be finite, "
                          f"got {values.flat[row]}")
-    return QuantileTensor(values, midpoint_fractions(shape[3]))
+    return QuantileTensor(values)
 
 
 def save_episode_log(records: Sequence[EpisodeRecord], path) -> None:
@@ -333,15 +333,22 @@ def save_quantile_csv(matrix: QuantileMatrix, path) -> None:
 
 def load_quantile_csv(path) -> QuantileMatrix:
     """Read a matrix written by :func:`save_quantile_csv`; the file's path
-    heads every error, which keeps its type."""
+    heads every error, which keeps its type.  A ``tau`` column off the
+    midpoint fractions raises :class:`ConfigError`."""
     header, rows = read_rows(path, "quantile CSV")
     if not header or header[0] != "tau":
         raise ShapeMismatch(f"{path}: expected a header starting with 'tau'")
     if not rows:
         raise ShapeMismatch(f"{path}: no quantile rows")
     data = np.array(parse_rows(path, rows, lambda row: [float(cell) for cell in row]))
+    expected = midpoint_fractions(len(data))
+    wrong = np.flatnonzero(data[:, 0] != expected)
+    if wrong.size:
+        row = int(wrong[0])
+        raise ConfigError(f"{path}, line {_row_line(path, row)}: tau must be the midpoint "
+                          f"fractions (2k-1)/2K, {expected.tolist()}, got {data[row, 0].item()!r}")
     try:
-        return QuantileMatrix(data[:, 1:], data[:, 0])
+        return QuantileMatrix(data[:, 1:])
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 

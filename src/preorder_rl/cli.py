@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sel = sub.add_parser("select", help="filter actions in standalone quantile CSVs")
     sel.add_argument("matrices", nargs="+",
-                     help="one tau,a0,a1,... CSV per objective, in objective order")
+                     help="one tau,a0,a1,... CSV per objective, in objective order; "
+                          "tau must be the midpoint fractions (2k-1)/2K of its K rows")
     sel.add_argument("--preorder", required=True,
                      help='JSON file: {"n_objectives": N, "edges": [[higher, lower], ...]}')
     sel.add_argument("--out", required=True)

@@ -2,14 +2,17 @@
 
 A :class:`QuantileMatrix` holds one column of quantile estimates per
 action; a :class:`HeadStack` presents the heads of one (heads, actions,
-quantiles) block as a sequence of such matrices.  The main scorer
-normalizes the matrix, forms the per-quantile ideal profile (the
-pointwise best across actions), and scores each action by the negative
-1-Wasserstein distance of its column to that ideal.  Pairwise score gaps thresholded by a tolerance give dominance
-verdicts.  Lower-tail and mean-variance scorers are provided as drop-in
-alternatives for ablations.  :func:`score_heads` is the one scorer: it
-scores a stack of heads in one vectorized pass, and the per-matrix
-entry points are its one-head case.
+quantiles) block as a sequence of such matrices.  Estimates sit on the
+midpoint grid (2k - 1) / 2K, which the quantile count K alone fixes: the
+scorers weight each quantile 1/K, and the alpha lower tail is the
+ceil(alpha * K) lowest quantiles.  The main scorer normalizes the
+matrix, forms the per-quantile ideal profile (the pointwise best across
+actions), and scores each action by the negative 1-Wasserstein distance
+of its column to that ideal.  Pairwise score gaps thresholded by a
+tolerance give dominance verdicts.  Lower-tail and mean-variance scorers
+are drop-in alternatives for ablations.  :func:`score_heads` is the one
+scorer: it scores a stack of heads in one vectorized pass, and the
+per-matrix entry points are its one-head case.
 """
 
 from __future__ import annotations
@@ -41,45 +44,30 @@ def midpoint_fractions(quantile_count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantileMatrix:
-    """Quantile estimates for one objective: ``values[k, a]`` is the
-    k-th quantile of action a's return.  Fractions are shared across
-    actions, strictly increasing, and lie in (0, 1)."""
+    """Quantile estimates for one objective: ``values[k, a]`` is action
+    a's quantile at ``fractions[k]``, the k-th midpoint fraction of the
+    matrix's K rows, which each read derives from K."""
 
     values: np.ndarray
-    fractions: np.ndarray
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
-        fractions = np.asarray(self.fractions, dtype=float)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise ShapeMismatch(f"expected a (quantiles, actions) matrix, got shape {values.shape}")
-        if fractions.shape != (values.shape[0],):
-            raise ShapeMismatch(
-                f"expected {values.shape[0]} fractions, got shape {fractions.shape}"
-            )
         if not np.all(np.isfinite(values)):
             raise ValueError("quantile values must be finite")
-        if not (np.all(fractions > 0.0) and np.all(fractions < 1.0)
-                and np.all(np.diff(fractions) > 0.0)):
-            raise ValueError("fractions must be strictly increasing within (0, 1)")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "fractions", fractions)
 
     @classmethod
-    def _view(cls, values: np.ndarray, fractions: np.ndarray) -> "QuantileMatrix":
-        """Wrap arrays the caller already keeps valid, skipping the checks."""
+    def _view(cls, values: np.ndarray) -> "QuantileMatrix":
+        """Wrap an array the caller already keeps valid, skipping the checks."""
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "values", values)
-        object.__setattr__(matrix, "fractions", fractions)
         return matrix
 
-    @classmethod
-    def from_values(cls, values) -> "QuantileMatrix":
-        """Wrap raw values, assigning midpoint fractions."""
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2:
-            raise ShapeMismatch(f"expected a (quantiles, actions) matrix, got shape {values.shape}")
-        return cls(values, midpoint_fractions(values.shape[0]))
+    @property
+    def fractions(self) -> np.ndarray:
+        return midpoint_fractions(self.n_quantiles)
 
     @property
     def n_actions(self) -> int:
@@ -92,26 +80,24 @@ class QuantileMatrix:
 
 class HeadStack(Sequence):
     """Read-only sequence of the heads of one (heads, actions, quantiles)
-    block, all sharing ``fractions``.  Each item is an unvalidated
-    :class:`QuantileMatrix` view of ``values[h].T``, built when asked;
+    block.  Each item is an unvalidated :class:`QuantileMatrix` view of
+    ``values[h].T``, built when asked;
     :func:`~preorder_rl.selection.select` scores the block whole."""
 
-    __slots__ = ("values", "fractions")
+    __slots__ = ("values",)
 
-    def __init__(self, values: np.ndarray, fractions: np.ndarray) -> None:
+    def __init__(self, values: np.ndarray) -> None:
         self.values = values
-        self.fractions = fractions
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __getitem__(self, index) -> QuantileMatrix:
         # operator.index rejects slices and arrays, which would not index one head.
-        return QuantileMatrix._view(self.values[operator.index(index)].T, self.fractions)
+        return QuantileMatrix._view(self.values[operator.index(index)].T)
 
     def __iter__(self):
-        fractions = self.fractions
-        return (QuantileMatrix._view(head.T, fractions) for head in self.values)
+        return (QuantileMatrix._view(head.T) for head in self.values)
 
 
 @dataclass(frozen=True)
@@ -189,7 +175,7 @@ def zscore_normalize(matrix: QuantileMatrix) -> QuantileMatrix:
     A matrix whose spread is below ``ZERO_VARIANCE_STD`` maps to all
     zeros, which downstream scorers treat as total indifference.
     """
-    return QuantileMatrix(_zscore(matrix.values[None])[0], matrix.fractions)
+    return QuantileMatrix(_zscore(matrix.values[None])[0])
 
 
 def ideal_profile(matrix: QuantileMatrix) -> np.ndarray:

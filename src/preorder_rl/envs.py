@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidAction, _integer, _real, _string
+from .preorder import _objective_count
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,7 @@ class ChainMDP:
         _params(self, spec)
         if self.length < 2:
             raise ConfigError(f"chain length must be >= 2, got {self.length}")
-        if self.n_objectives < 1:
-            raise ConfigError(f"n_objectives must be >= 1, got {self.n_objectives}")
+        _objective_count(self.n_objectives)
         self.n_states = self.length
         self._state = 0
 

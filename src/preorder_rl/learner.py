@@ -3,10 +3,10 @@
 One table of quantile estimates is kept per objective (a single table
 for the scalarizing baseline).  Updates follow the pinball subgradient:
 each cell moves toward the bootstrapped target distribution at a rate
-set by its quantile fraction.  Each update picks the bootstrap actions
-of all heads with one masked argmax over the successor state's mean
-values (:func:`greedy_target_action`).  Three policy modes share the
-machinery:
+set by its midpoint fraction (2k - 1) / 2K.  Each update picks the
+bootstrap actions of all heads with one masked argmax over the
+successor state's mean values (:func:`greedy_target_action`).  Three
+policy modes share the machinery:
 
 * ``preorder``: filter actions through the priority preorder and play a
   uniform draw from the surviving set; bootstrap targets may be
@@ -42,7 +42,7 @@ import numpy as np
 
 from .comparators import ComparatorConfig, HeadStack, _last_axis_mean, midpoint_fractions
 from .errors import ConfigError, EmptySetError, _integer, _real, _string
-from .preorder import PreorderGraph
+from .preorder import PreorderGraph, _objective_count
 from .selection import SelectionState, global_leaf_survivors, sample_action, select
 
 PREORDER = "preorder"
@@ -113,8 +113,7 @@ class LearnerConfig:
     def __post_init__(self) -> None:
         if _string(self.mode, "mode") not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if _integer(self.n_objectives, "n_objectives") < 1:
-            raise ConfigError(f"n_objectives must be >= 1, got {self.n_objectives}")
+        _objective_count(self.n_objectives)
         self.gammas = _reals(self.gammas, "gammas", self.n_objectives)
         if any(not (0.0 <= g < 1.0) for g in self.gammas):
             raise ConfigError(f"gammas must lie in [0, 1), got {self.gammas}")
@@ -149,10 +148,14 @@ class LearnerConfig:
 
 @dataclass
 class QuantileTensor:
-    """Quantile estimates indexed (head, state, action, quantile)."""
+    """Quantile estimates indexed (head, state, action, quantile); the
+    midpoint ``fractions`` are derived once, from the quantile count."""
 
     values: np.ndarray
-    fractions: np.ndarray
+    fractions: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.fractions = midpoint_fractions(self.values.shape[-1])
 
     @classmethod
     def zeros(cls, n_heads: int, n_states: int, n_actions: int,
@@ -162,8 +165,7 @@ class QuantileTensor:
     @classmethod
     def filled(cls, n_heads: int, n_states: int, n_actions: int,
                quantile_count: int, value: float) -> "QuantileTensor":
-        return cls(np.full((n_heads, n_states, n_actions, quantile_count), float(value)),
-                   midpoint_fractions(quantile_count))
+        return cls(np.full((n_heads, n_states, n_actions, quantile_count), float(value)))
 
     @property
     def n_heads(self) -> int:
@@ -185,10 +187,10 @@ class QuantileTensor:
         """Unvalidated (quantiles, actions) views of every head at
         ``state``, as one view of its (heads, actions, quantiles) block;
         ``td_update`` keeps the tensor finite instead."""
-        return HeadStack(self.values[:, state], self.fractions)
+        return HeadStack(self.values[:, state])
 
     def copy(self) -> "QuantileTensor":
-        return QuantileTensor(self.values.copy(), self.fractions.copy())
+        return QuantileTensor(self.values.copy())
 
 
 class VectorTransition(NamedTuple):

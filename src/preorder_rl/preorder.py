@@ -17,6 +17,21 @@ from .errors import ConfigError, CycleError, _integer, _string
 
 ObjectiveId = int
 
+# The most objectives a preorder, a learner or an env takes.  The graph's
+# topological sort is cubic in the count; the crossing grid uses 5.
+MAX_OBJECTIVES = 64
+
+
+def _objective_count(value) -> int:
+    """``value`` as an objective count in 1..MAX_OBJECTIVES; anything
+    else raises, naming ``n_objectives``."""
+    n = _integer(value, "n_objectives")
+    if n < 1:
+        raise ConfigError(f"n_objectives must be >= 1, got {n}")
+    if n > MAX_OBJECTIVES:
+        raise ConfigError(f"n_objectives must be <= {MAX_OBJECTIVES}, got {n}")
+    return n
+
 
 def _items(values, name: str) -> Iterable:
     if isinstance(values, str) or not isinstance(values, Iterable):
@@ -52,8 +67,9 @@ class PreorderGraph:
       direct parents in ascending order.
 
     Raises:
-        ConfigError: a field of the wrong form, named: ``n_objectives``,
-            ``edges[i]`` (one (higher, lower) pair of integers) or ``names``.
+        ConfigError: a field of the wrong form, named: ``n_objectives``
+            (an integer in 1..``MAX_OBJECTIVES``), ``edges[i]`` (one
+            (higher, lower) pair of integers) or ``names``.
         IndexError: an edge endpoint is outside ``0..n_objectives-1``.
         CycleError: the edges contain a self-loop or a directed cycle.
     """
@@ -67,9 +83,7 @@ class PreorderGraph:
         edges: Iterable[tuple[int, int]] = (),
         names: Sequence[str] | None = None,
     ) -> None:
-        n = _integer(n_objectives, "n_objectives")
-        if n < 1:
-            raise ConfigError(f"n_objectives must be >= 1, got {n}")
+        n = _objective_count(n_objectives)
         edge_set = _edges(edges)
         adjacency = np.zeros((n, n), dtype=bool)
         for high, low in edge_set:

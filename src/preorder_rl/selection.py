@@ -177,8 +177,10 @@ def global_leaf_survivors(state: SelectionState, graph: PreorderGraph) -> frozen
 
 
 def sample_action(survivors: frozenset[int], rng: np.random.Generator) -> int:
-    """Draw uniformly from a survivor set."""
+    """Draw uniformly from a survivor set; a one-action set draws nothing."""
     if not survivors:
         raise EmptySetError("cannot sample from an empty survivor set")
+    if len(survivors) == 1:
+        return next(iter(survivors))
     ordered = sorted(survivors)
     return ordered[int(rng.integers(len(ordered)))]

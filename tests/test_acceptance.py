@@ -84,7 +84,7 @@ def instance_sweep() -> dict:
     for index in range(1000):
         n_objectives, edges, matrices, config = random_instance(rng)
         graph = build_graph(n_objectives, edges)
-        state = select(graph, [QuantileMatrix.from_values(m) for m in matrices], config)
+        state = select(graph, [QuantileMatrix(m) for m in matrices], config)
         expected = ref_select(n_objectives, set(edges), [m.tolist() for m in matrices],
                               [asdict(config)] * n_objectives)
         if {o: set(s) for o, s in state.survivors.items()} != expected.survivors:
@@ -142,7 +142,7 @@ def test_pairwise_score_gaps_are_antisymmetric() -> None:
     worst = 0.0
     for _ in range(10_000):
         shape = (int(rng.integers(1, 9)), int(rng.integers(2, 7)))
-        gaps = qd(zscore_normalize(QuantileMatrix.from_values(rng.normal(size=shape))))
+        gaps = qd(zscore_normalize(QuantileMatrix(rng.normal(size=shape))))
         worst = max(worst, float(np.abs(gaps + gaps.T).max()))
     print(f"worst antisymmetry residual {worst:.2e}")
     assert worst <= 1e-9
@@ -156,12 +156,12 @@ def test_pair_classification_is_affine_invariant() -> None:
         values = rng.normal(size=shape)
         config = ComparatorConfig(kinds[int(rng.integers(3))],
                                   epsilon=float(rng.uniform(0.0, 0.5)))
-        base = classify_pairs(QuantileMatrix.from_values(values), config)
+        base = classify_pairs(QuantileMatrix(values), config)
         for _ in range(100):
             alpha = float(rng.uniform(0.1, 10.0))
             beta = float(rng.uniform(-10.0, 10.0))
             moved = classify_pairs(
-                QuantileMatrix.from_values(alpha * values + beta), config)
+                QuantileMatrix(alpha * values + beta), config)
             assert np.array_equal(moved.dom, base.dom)
             assert np.array_equal(moved.dom_by, base.dom_by)
 

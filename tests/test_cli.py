@@ -11,8 +11,8 @@ import pytest
 
 from preorder_rl.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_OK, EXIT_SHAPE, _build_parser, main
 from preorder_rl.artifacts import save_quantile_csv
-from preorder_rl.comparators import ComparatorConfig, QuantileMatrix
-from preorder_rl.preorder import build_graph
+from preorder_rl.comparators import ComparatorConfig, QuantileMatrix, midpoint_fractions
+from preorder_rl.preorder import MAX_OBJECTIVES, build_graph
 from preorder_rl.runner import run_stats
 from preorder_rl.selection import select
 
@@ -113,8 +113,8 @@ def test_select_filters_quantile_files(tmp_path, capsys) -> None:
     graph_file = tmp_path / "preorder.json"
     graph_file.write_text(json.dumps({"n_objectives": 2, "edges": [[0, 1]]}))
     matrices = [
-        QuantileMatrix.from_values(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])),
-        QuantileMatrix.from_values(np.array([[0.5, 1.0, 0.0], [0.5, 1.0, 0.0]])),
+        QuantileMatrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])),
+        QuantileMatrix(np.array([[0.5, 1.0, 0.0], [0.5, 1.0, 0.0]])),
     ]
     paths = []
     for i, matrix in enumerate(matrices):
@@ -175,7 +175,7 @@ def test_unknown_fields_exit_2_naming_the_block(tmp_path, capsys, block, where) 
         graph_file = tmp_path / "preorder.json"
         graph_file.write_text(json.dumps({"n_objectives": 2, "edge": [[0, 1]]}))
         matrix = tmp_path / "objective.csv"
-        save_quantile_csv(QuantileMatrix.from_values(np.array([[1.0, 0.0]])), matrix)
+        save_quantile_csv(QuantileMatrix(np.array([[1.0, 0.0]])), matrix)
         argv = ["select", str(matrix), str(matrix), "--preorder", str(graph_file), "--out", out]
     else:
         variant = {"label": "pr", "comparator": {"kind": "qd"},
@@ -219,7 +219,7 @@ def test_shape_problems_exit_4(tmp_path, capsys) -> None:
                  "--out", out]) == EXIT_SHAPE
     assert "shape mismatch" in capsys.readouterr().err
 
-    matrix = QuantileMatrix.from_values(np.array([[1.0, 0.0]]))
+    matrix = QuantileMatrix(np.array([[1.0, 0.0]]))
     single = tmp_path / "single.csv"
     save_quantile_csv(matrix, single)
     assert main(["select", str(single), "--preorder", str(graph_file),
@@ -277,8 +277,6 @@ def test_non_numeric_cell_exits_4_naming_file_and_line(tmp_path, capsys) -> None
 
 @pytest.mark.parametrize(("text", "exit_code", "message"), [
     ("tau,a0,a1\n0.5,nan,1.0\n", EXIT_CONFIG, "quantile values must be finite"),
-    ("tau,a0,a1\n0.75,0.0,1.0\n0.25,1.0,0.0\n", EXIT_CONFIG,
-     "fractions must be strictly increasing"),
     ("tau\n0.5\n", EXIT_SHAPE, "expected a (quantiles, actions) matrix")])
 def test_bad_quantile_matrix_names_the_file(tmp_path, capsys, text, exit_code, message) -> None:
     graph_file = tmp_path / "preorder.json"
@@ -289,6 +287,35 @@ def test_bad_quantile_matrix_names_the_file(tmp_path, capsys, text, exit_code, m
                  "--out", str(tmp_path / "out")])
     assert code == exit_code
     assert f"{matrix}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("taus", [(0.75, 0.25), (0.05, 0.1, 0.15, 0.9)], ids=["reversed", "skewed"])
+def test_tau_off_the_midpoints_exits_2_naming_file_and_line(tmp_path, capsys, taus) -> None:
+    # The scorers assume midpoint fractions, so any other tau column is refused.
+    graph_file = tmp_path / "preorder.json"
+    graph_file.write_text(json.dumps({"n_objectives": 1}))
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("tau,a0,a1\n" + "".join(f"{tau},{tau},1.0\n" for tau in taus))
+    out = tmp_path / "out"
+    assert main(["select", str(matrix), "--preorder", str(graph_file),
+                 "--out", str(out)]) == EXIT_CONFIG
+    expected = midpoint_fractions(len(taus)).tolist()
+    assert (f"config error: {matrix}, line 2: tau must be the midpoint fractions (2k-1)/2K, "
+            f"{expected}, got {taus[0]}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_preorder_file_beyond_the_objective_bound_exits_2(tmp_path, capsys) -> None:
+    graph_file = tmp_path / "preorder.json"
+    graph_file.write_text(json.dumps({"n_objectives": MAX_OBJECTIVES + 1}))
+    matrix = tmp_path / "matrix.csv"
+    save_quantile_csv(QuantileMatrix(np.array([[1.0, 0.0]])), matrix)
+    out = tmp_path / "out"
+    assert main(["select", str(matrix), "--preorder", str(graph_file),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert (f"n_objectives must be <= {MAX_OBJECTIVES}, got {MAX_OBJECTIVES + 1}"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_non_finite_score_exits_2_naming_file_and_line(tmp_path, capsys) -> None:

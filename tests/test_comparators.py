@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from preorder_rl.artifacts import load_quantile_csv, save_quantile_csv
 from preorder_rl.comparators import (
     ComparatorConfig,
+    HeadStack,
     QuantileMatrix,
     action_scores,
     classify_pairs,
@@ -22,12 +24,13 @@ from preorder_rl.comparators import (
     zscore_normalize,
 )
 from preorder_rl.errors import ConfigError, ShapeMismatch
+from preorder_rl.learner import QuantileTensor
 
 from ._reference import ref_scores
 
 
 def matrix(rows) -> QuantileMatrix:
-    return QuantileMatrix.from_values(rows)
+    return QuantileMatrix(rows)
 
 
 def test_midpoint_fractions_are_uniform_midpoints() -> None:
@@ -39,13 +42,24 @@ def test_midpoint_fractions_are_uniform_midpoints() -> None:
 
 def test_quantile_matrix_validation() -> None:
     with pytest.raises(ShapeMismatch):
-        QuantileMatrix.from_values([1.0, 2.0])
+        QuantileMatrix([1.0, 2.0])
     with pytest.raises(ValueError):
-        QuantileMatrix.from_values([[math.inf, 0.0]])
-    with pytest.raises(ValueError):
-        QuantileMatrix(np.zeros((2, 2)), np.array([0.8, 0.2]))
-    with pytest.raises(ShapeMismatch):
-        QuantileMatrix(np.zeros((2, 2)), np.array([0.5]))
+        QuantileMatrix([[math.inf, 0.0]])
+
+
+def test_the_quantile_count_is_the_one_source_of_the_grid() -> None:
+    values = np.arange(12.0).reshape(2, 3, 2, 1).repeat(4, axis=3)
+    tensor = QuantileTensor(values)
+    assert np.array_equal(tensor.fractions, midpoint_fractions(4))
+    for m in (QuantileMatrix(values[0, 0].T), *tensor.matrices(1)):
+        assert np.array_equal(m.fractions, midpoint_fractions(4))
+    with pytest.raises(AttributeError):
+        QuantileMatrix(values[0, 0].T).fractions = midpoint_fractions(4)
+    assert not hasattr(QuantileMatrix, "from_values")
+    for build, array in ((QuantileMatrix, values[0, 0].T), (HeadStack, values[:, 0]),
+                         (QuantileTensor, values)):
+        with pytest.raises(TypeError):
+            build(array, midpoint_fractions(4))
 
 
 def test_comparator_config_validation() -> None:
@@ -222,6 +236,26 @@ def test_csv_roundtrip_preserves_matrix(tmp_path) -> None:
     assert np.array_equal(loaded.fractions, m.fractions)
 
 
+@pytest.mark.parametrize("n_quantiles", [1, 2, 3, 8])
+def test_csv_roundtrip_is_bit_identical_for_each_quantile_count(tmp_path, n_quantiles) -> None:
+    # K = 3 has no dyadic midpoints: the loader must take the writer's repr.
+    values = np.random.default_rng(n_quantiles).normal(size=(n_quantiles, 3)) / 3.0
+    path = tmp_path / "matrix.csv"
+    save_quantile_csv(QuantileMatrix(values), path)
+    assert load_quantile_csv(path).values.tobytes() == values.tobytes()
+    taus = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+    assert taus == [repr(tau) for tau in midpoint_fractions(n_quantiles).tolist()]
+
+
+def test_csv_loader_rejects_a_tau_column_off_the_midpoints(tmp_path) -> None:
+    path = tmp_path / "matrix.csv"
+    for taus, line in (([0.25, 0.7], 3), ([0.5, 0.75], 2), ([0.25, math.nan], 3)):
+        path.write_text("tau,a0\n" + "".join(f"{tau},1.0\n" for tau in taus))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}, line {line}: "
+                           r"tau must be the midpoint fractions \(2k-1\)/2K, \[0.25, 0.75\]"):
+            load_quantile_csv(path)
+
+
 def test_csv_loader_rejects_malformed_files(tmp_path) -> None:
     bad_header = tmp_path / "bad.csv"
     bad_header.write_text("nope,a0\n0.5,1.0\n")
@@ -285,5 +319,5 @@ def test_score_heads_equals_the_per_matrix_scorer_bit_for_bit(kind, layout) -> N
         expected = np.array([_per_matrix_scores(h, config) for h in heads])
         batched = score_heads(np.stack(heads).transpose(0, 2, 1), config)
         assert batched.tobytes() == expected.tobytes()
-        alone = action_scores(QuantileMatrix.from_values(heads[0]), config)
+        alone = action_scores(QuantileMatrix(heads[0]), config)
         assert alone.tobytes() == expected[0].tobytes()

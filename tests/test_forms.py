@@ -18,7 +18,7 @@ from preorder_rl.config import parse_config
 from preorder_rl.envs import EnvSpec, make_env
 from preorder_rl.errors import ConfigError
 from preorder_rl.learner import EpsilonSchedule, LearnerConfig, QuantileTensor, evaluate, train
-from preorder_rl.preorder import PreorderGraph, build_graph
+from preorder_rl.preorder import MAX_OBJECTIVES, PreorderGraph, build_graph
 from preorder_rl.runner import run_evaluate, run_stats, run_train
 
 HUGE = 10**400
@@ -74,6 +74,8 @@ MAKERS = {
     "run_evaluate": lambda out, **kw: _run(run_evaluate, out, **kw),
     "run_stats": _run_stats,
     "make_env": lambda out, **kw: make_env(EnvSpec("crossing-grid", params=kw)),
+    "LearnerConfig": lambda out, **kw: LearnerConfig(**{"gammas": (0.9,), **kw}),
+    "chain-mdp": lambda out, **kw: make_env(EnvSpec("chain-mdp", params=kw)),
 }
 
 SCALARS = [
@@ -99,7 +101,9 @@ COLLECTIONS = [
 ]
 
 # Values of the right form beyond a documented upper bound.
-OUT_OF_RANGE = [("make_env", "width", HUGE), ("make_env", "height", HUGE)]
+OUT_OF_RANGE = [("make_env", "width", HUGE), ("make_env", "height", HUGE)] + [
+    (maker, "n_objectives", value) for maker in ("PreorderGraph", "LearnerConfig", "chain-mdp")
+    for value in (HUGE, MAX_OBJECTIVES + 1)]
 
 CASES = ([(maker, field, value) for maker, field, kind in SCALARS for value in WRONG_FORMS[kind]]
          + [(maker, field, value) for maker, field, values in COLLECTIONS for value in values]

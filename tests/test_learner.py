@@ -655,7 +655,7 @@ def test_tensor_csv_bytes_match_the_per_row_reference(tmp_path, shape) -> None:
     values = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
     values.flat[:len(EDGE_VALUES)] = EDGE_VALUES[:values.size]
     path = tmp_path / "tensor.csv"
-    save_tensor(QuantileTensor(values, midpoint_fractions(shape[3])), path)
+    save_tensor(QuantileTensor(values), path)
     assert path.read_bytes() == ref_tensor_csv(values).encode()
 
 
@@ -684,7 +684,7 @@ def test_tensor_csv_bytes_match_the_reference_on_repeated_blocks(tmp_path, case)
     # previous block's; a -0.0 block must not take a 0.0 block's text.
     values = _repeated_blocks(case)
     path = tmp_path / "tensor.csv"
-    save_tensor(QuantileTensor(values, midpoint_fractions(values.shape[3])), path)
+    save_tensor(QuantileTensor(values), path)
     assert path.read_bytes() == ref_tensor_csv(values).encode()
 
 
@@ -702,8 +702,7 @@ def test_tensor_loader_returns_contiguous_float64_values(tmp_path) -> None:
 def test_tensor_writer_holds_one_block_in_memory(tmp_path) -> None:
     # A grid-shaped tensor: 112,000 rows, 3.4 MB of text.  A writer that
     # built the whole file as one string would peak above the bound.
-    tensor = QuantileTensor(np.random.default_rng(10).normal(size=(5, 560, 5, 8)),
-                            midpoint_fractions(8))
+    tensor = QuantileTensor(np.random.default_rng(10).normal(size=(5, 560, 5, 8)))
     tracemalloc.start()
     try:
         save_tensor(tensor, tmp_path / "tensor.csv")
@@ -859,7 +858,7 @@ PREFIX_STEPS = {"ten-states": (2, 11, 2, 2), "hundred-states": (2, 101, 1, 2),
 def test_tensor_loader_matches_the_per_row_reference_on_repeated_blocks(tmp_path, case) -> None:
     values = np.full(PREFIX_STEPS[case], -0.1) if case in PREFIX_STEPS else _repeated_blocks(case)
     path = tmp_path / "tensor.csv"
-    save_tensor(QuantileTensor(values, midpoint_fractions(values.shape[3])), path)
+    save_tensor(QuantileTensor(values), path)
     loaded, expected = _outcomes(path, values.shape)
     assert loaded == expected == values.tobytes()
 
@@ -873,7 +872,7 @@ def test_tensor_loader_holds_no_whole_file_temporaries(tmp_path) -> None:
     values = np.zeros((5, 560, 5, 8))
     values[:, rng.choice(560, 70, replace=False)] = rng.normal(size=(5, 70, 5, 8))
     path = tmp_path / "tensor.csv"
-    save_tensor(QuantileTensor(values, midpoint_fractions(8)), path)
+    save_tensor(QuantileTensor(values), path)
     tracemalloc.start()
     try:
         loaded = load_tensor(path, values.shape)

@@ -192,7 +192,7 @@ def test_oracle_matches_select_on_single_quantile_chains(kind) -> None:
         graph = build_graph(n, list(zip(order, order[1:])))
         rewards = np.array([[rng.randint(-2, 2) for _ in range(n)]
                             for _ in range(rng.randint(1, 6))], dtype=float)
-        quantiles = [QuantileMatrix.from_values(rewards[:, j][None]) for j in range(n)]
+        quantiles = [QuantileMatrix(rewards[:, j][None]) for j in range(n)]
         expected = select(graph, quantiles, ComparatorConfig(kind)).survivors
         assert oracle_survivors(graph, rewards) == expected
 

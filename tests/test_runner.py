@@ -295,8 +295,8 @@ def test_compare_names_the_line_of_a_non_numeric_evaluation_cell(run_space, tmp_
 def test_select_writes_survivor_table(tmp_path) -> None:
     graph = build_graph(2, [(0, 1)])
     matrices = [
-        QuantileMatrix.from_values(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])),
-        QuantileMatrix.from_values(np.array([[0.5, 1.0, 0.0], [0.5, 1.0, 0.0]])),
+        QuantileMatrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])),
+        QuantileMatrix(np.array([[0.5, 1.0, 0.0], [0.5, 1.0, 0.0]])),
     ]
     comparator = ComparatorConfig("qd", epsilon=0.2)
     path = run_select(graph, matrices, comparator, tmp_path)

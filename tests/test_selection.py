@@ -15,7 +15,6 @@ from preorder_rl.comparators import (
     QuantileMatrix,
     action_scores,
     classify_pairs,
-    midpoint_fractions,
     score_heads,
 )
 from preorder_rl.config import parse_config
@@ -37,7 +36,7 @@ QD = ComparatorConfig("qd", epsilon=0.2)
 
 def matrix(columns: list[list[float]]) -> QuantileMatrix:
     """Build a matrix from per-action columns."""
-    return QuantileMatrix.from_values(np.array(columns, dtype=float).T)
+    return QuantileMatrix(np.array(columns, dtype=float).T)
 
 
 def test_aggregate_intersection_wins() -> None:
@@ -172,6 +171,15 @@ def test_sample_action_singleton_and_empty() -> None:
         sample_action(frozenset(), rng)
 
 
+def test_sample_action_draws_only_from_a_set_of_two_or_more() -> None:
+    rng = np.random.default_rng(47)
+    before = rng.bit_generator.state
+    assert sample_action(frozenset({4}), rng) == 4
+    assert rng.bit_generator.state == before
+    sample_action(frozenset({0, 1, 2}), rng)
+    assert rng.bit_generator.state != before
+
+
 def test_sample_action_uniform_within_three_sigma() -> None:
     rng = np.random.default_rng(2026)
     draws = 30_000
@@ -218,7 +226,7 @@ def test_select_matches_plain_python_reference() -> None:
     for _ in range(60):
         n_objectives, edges, matrices, config = random_instance(rng)
         graph = build_graph(n_objectives, edges)
-        state = select(graph, [QuantileMatrix.from_values(m) for m in matrices], config)
+        state = select(graph, [QuantileMatrix(m) for m in matrices], config)
         expected = ref_select(n_objectives, set(edges), [m.tolist() for m in matrices],
                               [asdict(config)] * n_objectives)
         assert {o: set(s) for o, s in state.survivors.items()} == expected.survivors
@@ -234,7 +242,7 @@ def test_mask_marks_exactly_the_survivors() -> None:
     for _ in range(200):
         n_objectives, edges, matrices, config = random_instance(rng)
         state = select(build_graph(n_objectives, edges),
-                       [QuantileMatrix.from_values(m) for m in matrices], config)
+                       [QuantileMatrix(m) for m in matrices], config)
         assert state.mask.shape == (n_objectives, matrices[0].shape[1])
         assert state.mask.dtype == bool
         for obj in range(n_objectives):
@@ -249,7 +257,7 @@ def test_select_handles_more_actions_than_int64_has_bits() -> None:
     for n_actions, best in ((63, 62), (70, 63), (70, 69)):
         matrices = [rng.normal(scale=0.01, size=(3, n_actions)) for _ in range(3)]
         matrices[0][:, best] += 5.0
-        state = select(build_graph(3, edges), [QuantileMatrix.from_values(m) for m in matrices],
+        state = select(build_graph(3, edges), [QuantileMatrix(m) for m in matrices],
                        ComparatorConfig("qd", epsilon=0.3))
         expected = ref_select(3, set(edges), [m.tolist() for m in matrices],
                               [dict(kind="qd", epsilon=0.3)] * 3)
@@ -263,7 +271,7 @@ def test_survivors_never_empty_and_nested_in_inherited_set() -> None:
     for _ in range(60):
         n_objectives, edges, matrices, config = random_instance(rng)
         graph = build_graph(n_objectives, edges)
-        state = select(graph, [QuantileMatrix.from_values(m) for m in matrices], config)
+        state = select(graph, [QuantileMatrix(m) for m in matrices], config)
         for obj in range(n_objectives):
             assert state.survivors[obj]
             parents = sorted(graph.parents(obj))
@@ -279,7 +287,7 @@ def test_chain_survivors_shrink_monotonically() -> None:
         edges = [(i, i + 1) for i in range(n_objectives - 1)]
         graph = build_graph(n_objectives, edges)
         n_actions = int(rng.integers(2, 7))
-        mats = [QuantileMatrix.from_values(rng.normal(size=(4, n_actions)))
+        mats = [QuantileMatrix(rng.normal(size=(4, n_actions)))
                 for _ in range(n_objectives)]
         state = select(graph, mats, ComparatorConfig("qd", epsilon=float(rng.uniform(0, 0.5))))
         for obj in range(1, n_objectives):
@@ -291,9 +299,9 @@ def test_permuting_actions_permutes_survivors() -> None:
     for _ in range(30):
         n_objectives, edges, matrices, config = random_instance(rng)
         graph = build_graph(n_objectives, edges)
-        base = select(graph, [QuantileMatrix.from_values(m) for m in matrices], config)
+        base = select(graph, [QuantileMatrix(m) for m in matrices], config)
         perm = rng.permutation(matrices[0].shape[1])
-        shuffled = select(graph, [QuantileMatrix.from_values(m[:, perm]) for m in matrices],
+        shuffled = select(graph, [QuantileMatrix(m[:, perm]) for m in matrices],
                           config)
         for obj in range(n_objectives):
             relabeled = frozenset(int(np.flatnonzero(perm == a)[0])
@@ -315,11 +323,11 @@ def test_unordered_objectives_keep_each_matrix_own_verdicts(layout) -> None:
         tensor = rng.normal(size=(n_objectives, 2, n_actions, n_quantiles))
         if rng.random() < 0.3:
             tensor[int(rng.integers(n_objectives))] = 0.5
-        mats = [QuantileMatrix.from_values(tensor[h, 0].T) for h in range(n_objectives)]
+        mats = [QuantileMatrix(tensor[h, 0].T) for h in range(n_objectives)]
         if layout == "head-stack":
-            mats = QuantileTensor(tensor, midpoint_fractions(n_quantiles)).matrices(0)
+            mats = QuantileTensor(tensor).matrices(0)
         elif layout != "tensor":
-            mats = [QuantileMatrix.from_values(np.ascontiguousarray(m.values))
+            mats = [QuantileMatrix(np.ascontiguousarray(m.values))
                     if layout == "c-order" or rng.random() < 0.5 else m for m in mats]
         # The epsilon is a gap one matrix shows alone, so that pair sits
         # on the verdict boundary, where one ulp of score decides.
@@ -354,7 +362,7 @@ def test_head_stack_filters_exactly_as_its_list_of_views() -> None:
         state = int(rng.integers(3))
         if rng.random() < 0.3:
             values[int(rng.integers(n_objectives)), state] = 0.5
-        stack = QuantileTensor(values, midpoint_fractions(n_quantiles)).matrices(state)
+        stack = QuantileTensor(values).matrices(state)
         base = ComparatorConfig(kinds[int(rng.integers(3))],
                                 cvar_alpha=float(rng.uniform(0.1, 1.0)),
                                 mv_lambda=float(rng.uniform(0.0, 2.0)))
@@ -373,7 +381,7 @@ def test_head_stack_filters_exactly_as_its_list_of_views() -> None:
 
 def test_head_stack_is_a_read_only_sequence_of_tensor_views() -> None:
     values = np.arange(3 * 2 * 4 * 5, dtype=float).reshape(3, 2, 4, 5)
-    tensor = QuantileTensor(values, midpoint_fractions(5))
+    tensor = QuantileTensor(values)
     stack = tensor.matrices(1)
     assert isinstance(stack, HeadStack) and isinstance(stack, Sequence)
     assert len(stack) == 3
@@ -412,7 +420,7 @@ def test_roots_with_different_quantile_counts_keep_each_matrix_own_verdicts(kind
     rng = np.random.default_rng(1949)
     for _ in range(50):
         n_actions = int(rng.integers(2, 7))
-        mats = [QuantileMatrix.from_values(rng.normal(size=(k, n_actions))) for k in (1, 4, 9)]
+        mats = [QuantileMatrix(rng.normal(size=(k, n_actions))) for k in (1, 4, 9)]
         config = ComparatorConfig(kind, epsilon=float(rng.uniform(0.0, 0.5)),
                                   cvar_alpha=float(rng.uniform(0.1, 1.0)),
                                   mv_lambda=float(rng.uniform(0.0, 2.0)))
@@ -445,3 +453,50 @@ def test_filter_output_on_a_trained_grid_tensor_matches_recorded_golden() -> Non
             golden.update(array.tobytes())
         golden.update(repr(chosen.fallbacks).encode())
     assert golden.hexdigest() == FILTER_GOLDEN
+
+
+def golden_graph(shape: str, n_objectives: int):
+    """A chain, an edgeless graph, or a diamond: objective 0 above every
+    middle objective, each middle one above the last."""
+    if shape == "chain":
+        return build_graph(n_objectives, [(i, i + 1) for i in range(n_objectives - 1)])
+    if shape == "edgeless" or n_objectives == 1:
+        return build_graph(n_objectives, [])
+    last = n_objectives - 1
+    middles = range(1, last) if n_objectives > 2 else ()
+    return build_graph(n_objectives, [(0, m) for m in middles] + [(m, last) for m in middles]
+                       or [(0, 1)])
+
+
+# sha256 of the filter's output on seeded random tensor blocks whose values
+# are rounded so that ties are common, recorded before QuantileTensor stopped
+# carrying fractions; unlike FILTER_GOLDEN, almost no block is constant.
+BLOCK_GOLDEN = "cf680a89c9c01de845f1dde14e4254315ded7d28bbc7a9a75121e7cc46bae590"
+
+
+def test_filter_output_on_random_tensor_blocks_matches_recorded_golden() -> None:
+    rng = np.random.default_rng(2828)
+    golden = hashlib.sha256()
+    for i in range(360):
+        shape = ("chain", "diamond", "edgeless")[i % 3]
+        kind = ("qd", "cvar", "mv")[(i // 3) % 3]
+        n_objectives = int(rng.integers(1, 6))
+        n_actions = int(rng.integers(2, 7))
+        n_quantiles = int(rng.choice([1, 2, 3, 8]))
+        values = rng.normal(size=(n_objectives, 2, n_actions, n_quantiles)).round(1)
+        base = ComparatorConfig(kind, cvar_alpha=float(rng.choice([0.2, 0.25, 0.5, 1.0])),
+                                mv_lambda=float(rng.choice([0.0, 0.5, 1.0])))
+        scores = score_heads(values[:, 1], base)
+        head = int(rng.integers(n_objectives))
+        a, b = rng.choice(n_actions, size=2, replace=False)
+        # Half the blocks threshold at 0, half on one pair's exact gap.
+        gap = float(abs(scores[head, a] - scores[head, b])) if i % 2 else 0.0
+        config = replace(base, epsilon=gap)
+        chosen = select(golden_graph(shape, n_objectives),
+                        QuantileTensor(values).matrices(1),
+                        config)
+        golden.update(scores.tobytes())
+        for array in (chosen.mask, chosen.dom, chosen.dom_by):
+            golden.update(array.tobytes())
+        golden.update(repr(chosen.fallbacks).encode())
+    assert golden.hexdigest() == BLOCK_GOLDEN
