@@ -151,21 +151,22 @@ def _zscore(values: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         dev = values - values.sum(axis=axes, keepdims=True) / count
         std = np.sqrt((dev * dev).sum(axis=axes, keepdims=True) / count)
-    if not np.isfinite(std).all():
-        head = int(np.flatnonzero(~np.isfinite(std))[0])
-        raise ValueError(f"quantile spread of head {head} is too large to standardize")
-    flat = std < ZERO_VARIANCE_STD
-    if not flat.any():
+    any_flat = False
+    for head, spread in enumerate(std.ravel().tolist()):
+        if not spread < math.inf:
+            raise ValueError(f"quantile spread of head {head} is too large to standardize")
+        any_flat = any_flat or spread < ZERO_VARIANCE_STD
+    if not any_flat:
         return dev / std
-    normalized = dev / np.where(flat, 1.0, std)
-    normalized[flat.reshape(-1)] = 0.0
-    return normalized
+    flat = std < ZERO_VARIANCE_STD
+    return np.where(flat, 0.0, dev / np.where(flat, 1.0, std))
 
 
 def _w1_to_ideal(values: np.ndarray, ideal: np.ndarray | None = None) -> np.ndarray:
     """W1 distance of each (..., action, quantile) row to the ideal profile."""
     if ideal is None:
-        ideal = values.max(axis=-2, keepdims=True)
+        # Exact without abs: no entry exceeds its ideal, and x - x is +0.0.
+        return _last_axis_mean(values.max(axis=-2, keepdims=True) - values)
     return _last_axis_mean(np.abs(values - ideal))
 
 

@@ -124,8 +124,11 @@ class ChainMDP:
     Every step moves one state to the right for zero reward; stepping
     out of the last state pays 1 on every objective and terminates, so
     the start state's discounted value is gamma ** (length - 1).
+    ``length`` runs from 2 up to ``MAX_LENGTH``, the state count of the
+    largest crossing grid.
     """
 
+    MAX_LENGTH = 1 << 20
     PARAMS = {"length": 4, "n_objectives": 1}
     n_actions = 1
 
@@ -133,6 +136,8 @@ class ChainMDP:
         _params(self, spec)
         if self.length < 2:
             raise ConfigError(f"chain length must be >= 2, got {self.length}")
+        if self.length > self.MAX_LENGTH:
+            raise ConfigError(f"length must be <= {self.MAX_LENGTH}, got {self.length}")
         _objective_count(self.n_objectives)
         self.n_states = self.length
         self._state = 0

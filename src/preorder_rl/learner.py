@@ -50,6 +50,11 @@ WEIGHTED_SUM = "weighted-sum"
 MEAN_AGGREGATION = "mean-aggregation"
 MODES = (PREORDER, WEIGHTED_SUM, MEAN_AGGREGATION)
 
+# The largest quantile tensor (8-byte floats) train and evaluate allocate:
+# 4 GiB holds the largest crossing grid at K=20, and a larger quantile_count
+# fails by name before any memory is asked for or any file is written.
+MAX_TENSOR_BYTES = 1 << 32
+
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
@@ -327,12 +332,12 @@ def _check_env(env, config: LearnerConfig, graph: PreorderGraph) -> None:
         raise ConfigError(
             f"objective counts disagree: env {env.n_objectives}, "
             f"config {config.n_objectives}, preorder {graph.n_objectives}")
-    cells = config.n_heads * env.n_states * env.n_actions * config.quantile_count
-    # The tensor holds 8-byte floats; numpy cannot index past intp's range.
-    if cells * 8 > np.iinfo(np.intp).max:
+    size = 8 * config.n_heads * env.n_states * env.n_actions * config.quantile_count
+    if size > MAX_TENSOR_BYTES:
         raise ConfigError(
             f"quantile_count: {config.quantile_count} quantiles for {config.n_heads} heads x "
-            f"{env.n_states} states x {env.n_actions} actions is a tensor numpy cannot address")
+            f"{env.n_states} states x {env.n_actions} actions need {size} bytes, over the "
+            f"{MAX_TENSOR_BYTES}-byte tensor budget")
 
 
 def _run_episode(env, tensor, config, graph, rng, episode, epsilon,

@@ -13,6 +13,8 @@ so the steps can run in separate processes or sessions.
 from __future__ import annotations
 
 import json
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -138,7 +140,9 @@ def run_evaluate(config: RunConfig, out_dir, seeds=None) -> Path:
                 success = sum(r.success for r in records) / count
                 collision = sum(r.collision for r in records) / count
                 offroad = sum(r.offroad for r in records) / count
-                progress = sum(r.progress for r in records) / count
+                # A left fold from 0.0: from Python 3.12 on, sum compensates
+                # float rounding, so its result would depend on the version.
+                progress = reduce(add, (r.progress for r in records), 0.0) / count
                 returns = np.array([r.returns for r in records]).mean(axis=0)
                 eval_rows.append([variant.label, seed, run, success, collision, offroad,
                                   progress, *returns])

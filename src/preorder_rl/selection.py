@@ -19,9 +19,9 @@ verdicts from exact rewards.  The verdict recursion has a closed form: a
 pair takes an objective's own verdict exactly when no strict ancestor
 decided it, so three boolean matrix products with the graph's transitive
 closure give every objective's verdicts at once.  Only the survivor walk
-stays sequential; it tests each inherited action against a Python-int
-bitmask of the actions that beat it and merges parent sets with
-:func:`aggregate_survivor_sets`.
+stays sequential: it keeps each survivor set as a Python-int bitmask,
+merges sets with :func:`aggregate_survivor_sets` and returns them as
+``mask`` rows and the global-leaf set.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from __future__ import annotations
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import and_, or_
 
 import numpy as np
 
@@ -50,24 +52,30 @@ class SelectionState:
     that b dominates a, inherited verdicts included.  ``fallbacks`` lists
     the objectives where comparator verdicts left no inherited survivor
     standing and the best-scored inherited survivors were kept instead.
-    ``mask`` is ``survivors`` as an (objectives, actions) boolean array.
+    ``mask[obj, a]`` says action a survives at ``obj``; ``leaf`` is the
+    survivor set of the virtual global leaf of the graph selected on.
     """
 
     dom: np.ndarray
     dom_by: np.ndarray
-    survivors: dict[int, frozenset[int]]
     fallbacks: tuple[int, ...]
     mask: np.ndarray
+    leaf: frozenset[int]
+
+    @cached_property
+    def survivors(self) -> dict[int, frozenset[int]]:
+        """Each objective's survivor set, derived from ``mask`` on first read."""
+        return {obj: frozenset(np.flatnonzero(row).tolist()) for obj, row in enumerate(self.mask)}
 
 
-def aggregate_survivor_sets(sets: Sequence[frozenset[int]]) -> frozenset[int]:
-    """Intersection of the sets, falling back to their union when the
-    intersection is empty.  Incomparable branches usually agree on some
-    action; when they do not, no branch is allowed to veto the others."""
+def aggregate_survivor_sets(sets: Sequence[frozenset[int]] | Sequence[int]) -> frozenset[int] | int:
+    """Intersection of the sets (frozensets or Python-int bitmasks), or their
+    union when the intersection is empty.  Incomparable branches usually
+    agree on some action; when they do not, no branch may veto the others."""
     if not sets:
         raise EmptySetError("no survivor sets to aggregate")
-    merged = frozenset.intersection(*sets)
-    return merged if merged else frozenset.union(*sets)
+    merged = reduce(and_, sets)
+    return merged if merged else reduce(or_, sets)
 
 
 def select(graph: PreorderGraph, quantiles: Sequence[QuantileMatrix],
@@ -127,7 +135,8 @@ def filter_verdicts(graph: PreorderGraph, above: np.ndarray, below: np.ndarray,
     actions) boolean arrays with a clear diagonal, and a pair set in both
     is a two-way conflict that eliminates neither action.  ``scores``
     (objectives, actions) ranks the inherited survivors when an
-    objective's verdicts leave none of them standing.
+    objective's verdicts leave none of them standing.  Survivor sets stay
+    Python-int bitmasks until they are stored as ``mask`` and ``leaf``.
     """
     n_objectives, n_actions = scores.shape
     # A pair takes an objective's own verdict exactly when no strict
@@ -143,37 +152,37 @@ def filter_verdicts(graph: PreorderGraph, above: np.ndarray, below: np.ndarray,
     # conflict (a pair decided both ways eliminates no one).  Python ints
     # hold the bits when int64 cannot.
     bits = np.arange(n_actions, dtype=np.int64 if n_actions < 63 else object)
-    beaten = ((dom_by & ~dom) @ (1 << bits)).tolist()
-    everyone = frozenset(range(n_actions))
-    survivors: dict[int, frozenset[int]] = {}
+    powers = 1 << bits
+    beaten = ((dom_by & ~dom) @ powers).tolist()
+    power_list = powers.tolist()
+    everyone = (1 << n_actions) - 1
+    kept = [0] * n_objectives
     fallbacks: list[int] = []
     for obj, parent_ids in graph.walk:
-        up = (aggregate_survivor_sets([survivors[p] for p in parent_ids]) if parent_ids
-              else everyone)
-        up_bits = sum(1 << a for a in up)
-        row = beaten[obj]
-        kept = frozenset(a for a in up if not row[a] & up_bits)
-        if not kept:
+        up = aggregate_survivor_sets([kept[p] for p in parent_ids]) if parent_ids else everyone
+        # Drop the inherited actions that an inherited action beats.
+        kept[obj] = up
+        for power, row in zip(power_list, beaten[obj]):
+            if row & up:
+                kept[obj] &= ~power
+        if not kept[obj]:
             # Circular verdicts can eliminate everyone; keep the
             # best-scored inherited survivors so the set stays usable.
-            up_mask = np.zeros(n_actions, dtype=bool)
-            up_mask[list(up)] = True
+            up_mask = (up & powers).astype(bool)
             best = up_mask & (scores[obj] == scores[obj][up_mask].max())
-            kept = frozenset(np.flatnonzero(best).tolist())
+            kept[obj] = sum(power_list[a] for a in np.flatnonzero(best).tolist())
             fallbacks.append(obj)
             _log.debug("fallback at objective %d: no inherited survivor kept", obj)
-        survivors[obj] = kept
-    mask = np.zeros(n_objectives * n_actions, dtype=bool)
-    mask[[obj * n_actions + a for obj, kept in survivors.items() for a in kept]] = True
-    return SelectionState(dom, dom_by, survivors, tuple(fallbacks),
-                          mask.reshape(n_objectives, n_actions))
+    leaf = aggregate_survivor_sets([kept[obj] for obj in graph.leaves()])
+    return SelectionState(dom, dom_by, tuple(fallbacks),
+                          (np.array(kept, dtype=bits.dtype)[:, None] & powers).astype(bool),
+                          frozenset(a for a, power in enumerate(power_list) if leaf & power))
 
 
 def global_leaf_survivors(state: SelectionState, graph: PreorderGraph) -> frozenset[int]:
-    """Survivors of the virtual global leaf: the leaf survivor sets
-    merged with the same intersection-then-union rule used inside the
-    traversal."""
-    return aggregate_survivor_sets([state.survivors[leaf] for leaf in graph.leaves()])
+    """Survivors of the virtual global leaf, which the walk merged from the
+    leaf sets of the graph the state was selected on (``graph``)."""
+    return state.leaf
 
 
 def sample_action(survivors: frozenset[int], rng: np.random.Generator) -> int:

@@ -366,6 +366,17 @@ def test_unaddressable_quantile_count_exits_2_before_train_writes(tmp_path, caps
     assert list(out.iterdir()) == []
 
 
+def test_chain_beyond_its_length_bound_exits_2_before_train_writes(tmp_path, capsys) -> None:
+    # 2**61 states once passed as a length and were blamed on quantile_count.
+    config = write_config(tmp_path, env={"name": "chain-mdp", "params": {"length": 2**61}},
+                          preorder={"n_objectives": 1})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert "length must be <= 1048576" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_non_scalar_env_param_exits_2_and_names_the_field(tmp_path, capsys) -> None:
     config = write_config(tmp_path, env={"name": "crossing-grid", "params": {"width": [1]}})
     code = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])

@@ -15,9 +15,10 @@ import pytest
 
 from preorder_rl.comparators import ComparatorConfig
 from preorder_rl.config import parse_config
-from preorder_rl.envs import EnvSpec, make_env
+from preorder_rl.envs import ChainMDP, EnvSpec, make_env
 from preorder_rl.errors import ConfigError
-from preorder_rl.learner import EpsilonSchedule, LearnerConfig, QuantileTensor, evaluate, train
+from preorder_rl.learner import (MAX_TENSOR_BYTES, EpsilonSchedule, LearnerConfig, QuantileTensor,
+                                 evaluate, train)
 from preorder_rl.preorder import MAX_OBJECTIVES, PreorderGraph, build_graph
 from preorder_rl.runner import run_evaluate, run_stats, run_train
 
@@ -76,6 +77,10 @@ MAKERS = {
     "make_env": lambda out, **kw: make_env(EnvSpec("crossing-grid", params=kw)),
     "LearnerConfig": lambda out, **kw: LearnerConfig(**{"gammas": (0.9,), **kw}),
     "chain-mdp": lambda out, **kw: make_env(EnvSpec("chain-mdp", params=kw)),
+    # One head on the default 4-state chain: 32 bytes per quantile.
+    "train on chain-mdp": lambda out, **kw: train(
+        make_env(EnvSpec("chain-mdp")), LearnerConfig(1, gammas=(0.9,), **kw), build_graph(1),
+        seed=0, episodes=1),
 }
 
 SCALARS = [
@@ -103,7 +108,11 @@ COLLECTIONS = [
 # Values of the right form beyond a documented upper bound.
 OUT_OF_RANGE = [("make_env", "width", HUGE), ("make_env", "height", HUGE)] + [
     (maker, "n_objectives", value) for maker in ("PreorderGraph", "LearnerConfig", "chain-mdp")
-    for value in (HUGE, MAX_OBJECTIVES + 1)]
+    for value in (HUGE, MAX_OBJECTIVES + 1)] + [
+    ("chain-mdp", "length", HUGE), ("chain-mdp", "length", ChainMDP.MAX_LENGTH + 1),
+    ("chain-mdp", "length", 2**61),
+    ("train on chain-mdp", "quantile_count", HUGE),
+    ("train on chain-mdp", "quantile_count", MAX_TENSOR_BYTES // 32 + 1)]
 
 CASES = ([(maker, field, value) for maker, field, kind in SCALARS for value in WRONG_FORMS[kind]]
          + [(maker, field, value) for maker, field, values in COLLECTIONS for value in values]

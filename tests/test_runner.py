@@ -427,3 +427,17 @@ def test_quoted_line_breaks_read_back_and_keep_line_numbers_physical(
     # Lines: header, the "a\rb" row, three for the "c\nd\r\ne" row, then the bad row.
     with pytest.raises(error, match=rf"scores\.csv, line 6: {message}"):
         load_scores(path)
+
+
+def test_evaluate_progress_is_the_same_left_fold_on_every_python(tmp_path) -> None:
+    # Every episode on a 3-state chain capped at 2 steps ends at progress
+    # 2/3.  Ten of them fold left to right to 6.666666666666667, as Python
+    # 3.11's sum does; from 3.12 on, sum compensates and gives ...666.
+    config = parse_config({
+        "schema_version": 1,
+        "env": {"name": "chain-mdp", "episode_cap": 2, "params": {"length": 3}},
+        "preorder": {"n_objectives": 1}, "learner": {"gammas": 0.9}, "episodes": 1,
+        "seeds": [0], "eval_runs": 1, "eval_episodes": 10, "variants": [{"label": "pr"}]})
+    run_train(config, tmp_path)
+    header, rows = read_csv(run_evaluate(config, tmp_path))
+    assert [row[header.index("progress")] for row in rows] == ["0.6666666666666667"]

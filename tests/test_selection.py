@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -21,15 +21,17 @@ from preorder_rl.config import parse_config
 from preorder_rl.envs import make_env
 from preorder_rl.errors import ConfigError, EmptySetError, ShapeMismatch
 from preorder_rl.learner import QuantileTensor, train
+from preorder_rl import selection
 from preorder_rl.preorder import build_graph
 from preorder_rl.selection import (
+    SelectionState,
     aggregate_survivor_sets,
     global_leaf_survivors,
     sample_action,
     select,
 )
 
-from ._reference import ref_global_leaf, ref_select
+from ._reference import ref_aggregate, ref_global_leaf, ref_select
 
 QD = ComparatorConfig("qd", epsilon=0.2)
 
@@ -500,3 +502,69 @@ def test_filter_output_on_random_tensor_blocks_matches_recorded_golden() -> None
             golden.update(array.tobytes())
         golden.update(repr(chosen.fallbacks).encode())
     assert golden.hexdigest() == BLOCK_GOLDEN
+
+
+def test_survivors_take_one_form_on_graphs_with_several_leaves() -> None:
+    # The walk stores mask and the global-leaf set; survivors is read from mask.
+    assert "survivors" not in {f.name for f in fields(SelectionState)}
+    rng = np.random.default_rng(2929)
+    union_merges = 0
+    for i in range(300):
+        shape = ("diamond", "fork", "edgeless")[i % 3]
+        n_objectives = int(rng.integers(1, 6))
+        n_actions = int(rng.integers(2, 7))
+        values = rng.normal(size=(n_objectives, 2, n_actions, int(rng.choice([1, 2, 3, 8]))))
+        graph = (build_graph(n_objectives, [(0, j) for j in range(1, n_objectives)])
+                 if shape == "fork" else golden_graph(shape, n_objectives))
+        config = ComparatorConfig(("qd", "cvar", "mv")[i // 3 % 3],
+                                  epsilon=float(rng.uniform(0.0, 0.5)))
+        stack = QuantileTensor(values).matrices(1)
+        state = select(graph, stack, config)
+        expected = ref_select(n_objectives, set(graph.edges),
+                              [m.values.tolist() for m in stack], [asdict(config)] * n_objectives)
+        union_merges += not set.intersection(*[expected.survivors[o] for o in graph.leaves()])
+        leaf = global_leaf_survivors(state, graph)
+        assert leaf == ref_global_leaf(n_objectives, set(graph.edges), expected.survivors)
+        assert global_leaf_survivors(state, graph) is leaf
+        assert state.survivors is state.survivors
+        for obj in range(n_objectives):
+            assert state.survivors[obj] == frozenset(np.flatnonzero(state.mask[obj]).tolist())
+        by_views = select(graph, list(stack), config)
+        assert np.array_equal(by_views.mask, state.mask)
+        assert np.array_equal(by_views.dom, state.dom)
+        assert np.array_equal(by_views.dom_by, state.dom_by)
+        assert by_views.fallbacks == state.fallbacks
+        assert by_views.leaf == leaf
+        assert by_views.survivors == state.survivors
+    assert union_merges > 0
+
+
+def test_aggregate_survivor_sets_is_the_walks_one_merge_rule(monkeypatch) -> None:
+    rng = np.random.default_rng(3030)
+    disjoint = 0
+    for _ in range(500):
+        n_actions = int(rng.integers(1, 8))
+        sets = [frozenset(np.flatnonzero(rng.random(n_actions) < 0.4).tolist())
+                or frozenset({int(rng.integers(n_actions))})
+                for _ in range(int(rng.integers(1, 5)))]
+        disjoint += not frozenset.intersection(*sets)
+        merged = aggregate_survivor_sets(sets)
+        as_bits = aggregate_survivor_sets([sum(1 << a for a in s) for s in sets])
+        assert type(merged) is frozenset
+        assert merged == {a for a in range(n_actions) if as_bits >> a & 1}
+        assert merged == ref_aggregate([set(s) for s in sets])
+    assert disjoint > 0
+    # The walk merges parent sets and leaf sets through the same function.
+    calls = []
+
+    def spy(sets):
+        calls.append(list(sets))
+        return aggregate_survivor_sets(sets)
+
+    monkeypatch.setattr(selection, "aggregate_survivor_sets", spy)
+    graph = build_graph(3, [(0, 1), (0, 2)])
+    # Objective 0 ties its two actions; its children each keep a different one.
+    state = select(graph, [matrix([[1.0, 0.0], [1.0, 0.0]]), matrix([[0.0, 0.0], [1.0, 1.0]]),
+                           matrix([[1.0, 1.0], [0.0, 0.0]])], QD)
+    assert calls == [[0b11], [0b11], [0b10, 0b01]]
+    assert state.leaf == frozenset({0, 1})
