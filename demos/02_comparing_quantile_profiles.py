@@ -14,7 +14,6 @@ from preorder_rl.comparators import (
     QuantileMatrix,
     action_scores,
     classify_pairs,
-    ideal_profile,
     zscore_normalize,
 )
 
@@ -29,7 +28,7 @@ print("means: steady 1.0, gambler 1.5, feeble 0.2")
 # Scores are computed on a z-scored copy, so they depend only on the
 # shape of the profiles, not on the reward units.
 normalized = zscore_normalize(matrix)
-print("ideal profile (per-quantile max):", np.round(ideal_profile(normalized), 2))
+print("ideal profile (per-quantile max):", np.round(normalized.values.max(axis=1), 2))
 
 print("\nscores and rankings (0 steady, 1 gambler, 2 feeble)")
 for kind in ("qd", "cvar", "mv"):
@@ -43,13 +42,13 @@ for kind in ("qd", "cvar", "mv"):
 # tightening the tolerance turns indifference into dominance.
 print("\npairwise qd verdicts")
 for epsilon in (0.6, 0.2):
-    decision = classify_pairs(matrix, ComparatorConfig("qd", epsilon=epsilon))
-    pairs = [(a, b) for a in range(3) for b in range(3) if decision.dom[a, b]]
+    dom, _ = classify_pairs(matrix, ComparatorConfig("qd", epsilon=epsilon))
+    pairs = [(a, b) for a in range(3) for b in range(3) if dom[a, b]]
     print(f"  epsilon {epsilon}: dominating pairs {pairs}")
 
 # Affine changes of the reward scale never flip a verdict.
 shifted = QuantileMatrix(matrix.values * 40.0 - 7.0)
-base = classify_pairs(matrix, ComparatorConfig("qd", epsilon=0.2))
-moved = classify_pairs(shifted, ComparatorConfig("qd", epsilon=0.2))
-assert np.array_equal(base.dom, moved.dom)
+base, _ = classify_pairs(matrix, ComparatorConfig("qd", epsilon=0.2))
+moved, _ = classify_pairs(shifted, ComparatorConfig("qd", epsilon=0.2))
+assert np.array_equal(base, moved)
 print("\nverdicts unchanged after scaling rewards by 40 and shifting by -7")

@@ -13,14 +13,11 @@ experiment orchestration, and :mod:`cli` exposes it all as subcommands.
 from .comparators import (
     ComparatorConfig,
     HeadStack,
-    PairwiseDecision,
     QuantileMatrix,
     action_scores,
     classify_pairs,
-    ideal_profile,
     midpoint_fractions,
     qd,
-    w1_to_ideal,
     zscore_normalize,
 )
 from .envs import ChainMDP, ConflictBandit, CrossingGrid, EnvSpec, StepResult, make_env
@@ -73,7 +70,6 @@ __all__ = [
     "LearnerConfig",
     "LengthMismatch",
     "MissingArtifact",
-    "PairwiseDecision",
     "PreorderGraph",
     "QuantileMatrix",
     "QuantileTensor",
@@ -90,7 +86,6 @@ __all__ = [
     "evaluate",
     "global_leaf_survivors",
     "greedy_target_action",
-    "ideal_profile",
     "iqm",
     "make_env",
     "midpoint_fractions",
@@ -103,6 +98,5 @@ __all__ = [
     "select",
     "td_update",
     "train",
-    "w1_to_ideal",
     "zscore_normalize",
 ]

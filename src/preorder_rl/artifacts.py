@@ -53,9 +53,9 @@ def write_rows(path, header: Sequence[str], rows) -> Path:
 def read_rows(path, what: str) -> tuple[list[str], list[list[str]]]:
     """The header and body rows of the CSV at ``path``; every row must be
     as wide as the header.  ``what`` names the file in the error raised
-    when it is absent."""
+    when it is absent (a directory counts as absent)."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise MissingArtifact(f"no {what} at {path}")
     with path.open(newline="") as handle:
         header, *rows = list(csv.reader(handle)) or [[]]
@@ -261,14 +261,14 @@ def load_tensor(path, shape: tuple[int, int, int, int]) -> QuantileTensor:
     float64 array.
 
     Raises:
-        MissingArtifact: the file is absent.
+        MissingArtifact: the file is absent, or a directory.
         ShapeMismatch: the header, a line's ending, a row's width or
             cells, or the index columns disagree with ``shape``; names the
             file and the first bad physical line.
         ValueError: a value is not finite; names the file and line.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise MissingArtifact(f"no tensor at {path}")
     raw = path.read_bytes()
     cut = raw.find(b"\n")
@@ -358,7 +358,7 @@ def load_scores(path) -> dict[str, np.ndarray]:
     A non-finite score raises ``ValueError`` naming the file and line."""
     header, rows = read_rows(path, "score file")
     if header != SCORE_HEADER:
-        raise MissingArtifact(f"{path}: expected header {','.join(SCORE_HEADER)}")
+        raise ShapeMismatch(f"{path}: expected header {','.join(SCORE_HEADER)}")
     grouped: dict[str, list[float]] = {}
     parsed = parse_rows(path, rows, lambda row: (row[0], float(row[3])))
     for row_index, (name, score) in enumerate(parsed):

@@ -3,8 +3,8 @@
 Five subcommands cover the run lifecycle: ``train``, ``evaluate`` and
 ``compare`` operate on a JSON run config, ``select`` filters standalone
 quantile CSVs, and ``stats`` summarizes a score file.  Exit codes: 0 on
-success, 2 for configuration problems, 3 for missing artifacts, 4 for
-shape disagreements.
+success, 2 for configuration problems and unusable paths, 3 for missing
+artifacts, 4 for shape disagreements.
 """
 
 from __future__ import annotations
@@ -107,6 +107,10 @@ def main(argv=None) -> int:
     except MissingArtifact as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
+    except OSError as exc:
+        # A path of the wrong kind, such as an --out that is a file.
+        print(f"path error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ShapeMismatch, LengthMismatch) as exc:
         print(f"shape mismatch: {exc}", file=sys.stderr)
         return EXIT_SHAPE

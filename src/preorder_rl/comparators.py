@@ -5,14 +5,14 @@ action; a :class:`HeadStack` presents the heads of one (heads, actions,
 quantiles) block as a sequence of such matrices.  Estimates sit on the
 midpoint grid (2k - 1) / 2K, which the quantile count K alone fixes: the
 scorers weight each quantile 1/K, and the alpha lower tail is the
-ceil(alpha * K) lowest quantiles.  The main scorer normalizes the
-matrix, forms the per-quantile ideal profile (the pointwise best across
-actions), and scores each action by the negative 1-Wasserstein distance
-of its column to that ideal.  Pairwise score gaps thresholded by a
-tolerance give dominance verdicts.  Lower-tail and mean-variance scorers
-are drop-in alternatives for ablations.  :func:`score_heads` is the one
-scorer: it scores a stack of heads in one vectorized pass, and the
-per-matrix entry points are its one-head case.
+ceil(alpha * K) lowest quantiles.  :func:`score_heads` is the one
+scorer.  It z-scores each head and, for the main kind, scores each
+action by the negative 1-Wasserstein distance of its quantiles to the
+ideal profile, the pointwise best across actions; lower-tail and
+mean-variance kinds are drop-in alternatives for ablations.  One rule
+thresholds pairwise score gaps by a tolerance into dominance verdicts.
+:func:`qd`, :func:`action_scores` and :func:`classify_pairs` are the
+one-matrix cases of the scorer and the rule.
 """
 
 from __future__ import annotations
@@ -96,9 +96,6 @@ class HeadStack(Sequence):
         # operator.index rejects slices and arrays, which would not index one head.
         return QuantileMatrix._view(self.values[operator.index(index)].T)
 
-    def __iter__(self):
-        return (QuantileMatrix._view(head.T) for head in self.values)
-
 
 @dataclass(frozen=True)
 class ComparatorConfig:
@@ -124,15 +121,6 @@ class ComparatorConfig:
             raise ConfigError(f"cvar_alpha must lie in (0, 1], got {self.cvar_alpha}")
         if not _real(self.mv_lambda, "mv_lambda") >= 0.0:
             raise ConfigError(f"mv_lambda must be >= 0, got {self.mv_lambda}")
-
-
-@dataclass(frozen=True)
-class PairwiseDecision:
-    """Boolean verdict matrices: ``dom[a, b]`` says a dominates b and
-    ``dom_by[a, b]`` says a is dominated by b."""
-
-    dom: np.ndarray
-    dom_by: np.ndarray
 
 
 def _last_axis_mean(x: np.ndarray) -> np.ndarray:
@@ -162,12 +150,10 @@ def _zscore(values: np.ndarray) -> np.ndarray:
     return np.where(flat, 0.0, dev / np.where(flat, 1.0, std))
 
 
-def _w1_to_ideal(values: np.ndarray, ideal: np.ndarray | None = None) -> np.ndarray:
-    """W1 distance of each (..., action, quantile) row to the ideal profile."""
-    if ideal is None:
-        # Exact without abs: no entry exceeds its ideal, and x - x is +0.0.
-        return _last_axis_mean(values.max(axis=-2, keepdims=True) - values)
-    return _last_axis_mean(np.abs(values - ideal))
+def _w1_to_ideal(values: np.ndarray) -> np.ndarray:
+    """W1 distance of each (..., action, quantile) row to the per-quantile maximum."""
+    # Exact without abs: no entry exceeds its ideal, and x - x is +0.0.
+    return _last_axis_mean(values.max(axis=-2, keepdims=True) - values)
 
 
 def zscore_normalize(matrix: QuantileMatrix) -> QuantileMatrix:
@@ -177,18 +163,6 @@ def zscore_normalize(matrix: QuantileMatrix) -> QuantileMatrix:
     zeros, which downstream scorers treat as total indifference.
     """
     return QuantileMatrix(_zscore(matrix.values[None])[0])
-
-
-def ideal_profile(matrix: QuantileMatrix) -> np.ndarray:
-    """Per-quantile maximum over actions: the profile of a hypothetical
-    action at least as good as every real one at every quantile."""
-    return matrix.values.max(axis=1)
-
-
-def w1_to_ideal(matrix: QuantileMatrix, ideal: np.ndarray | None = None) -> np.ndarray:
-    """1-Wasserstein distance of every action's column to the ideal
-    profile, i.e. the mean absolute per-quantile gap."""
-    return _w1_to_ideal(matrix.values.T, None if ideal is None else np.asarray(ideal, dtype=float))
 
 
 def qd(matrix: QuantileMatrix) -> np.ndarray:
@@ -204,9 +178,8 @@ def score_heads(values: np.ndarray, config: ComparatorConfig) -> np.ndarray:
     values under one ``config``; returns (heads, actions).
 
     Each head is z-scored on its own, then scored along the quantile axis.
-    Heads are reduced in their memory order, so a (quantiles, actions)
-    matrix passed as ``matrix.values.T[None]`` scores exactly as it does
-    stacked with others of the same layout.
+    Heads are reduced in their memory order: a head's scores depend on
+    its values and layout, never on the heads stacked beside it.
     """
     normalized = _zscore(values)
     if config.kind == QUANTILE_DOMINANCE:
@@ -225,13 +198,13 @@ def action_scores(matrix: QuantileMatrix, config: ComparatorConfig) -> np.ndarra
     return score_heads(matrix.values.T[None], config)[0]
 
 
-def classify_pairs(matrix: QuantileMatrix, config: ComparatorConfig) -> PairwiseDecision:
-    """Threshold pairwise score gaps into dominance verdicts.
-
-    A pair whose absolute gap is within ``config.epsilon`` yields no
-    verdict in either direction, so the diagonal (gap 0) stays clear.
-    """
-    return PairwiseDecision(*_verdicts(action_scores(matrix, config), config.epsilon))
+def classify_pairs(matrix: QuantileMatrix,
+                   config: ComparatorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``(dom, dom_by)`` verdicts from pairwise score gaps: ``dom[a, b]`` says
+    a dominates b, ``dom_by[a, b]`` that b dominates a.  A gap within
+    ``config.epsilon`` yields no verdict either way, so the diagonal (gap 0)
+    stays clear."""
+    return _verdicts(action_scores(matrix, config), config.epsilon)
 
 
 def _verdicts(scores: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:

@@ -160,8 +160,9 @@ def _parse_variant(raw, index: int, base: PreorderGraph, shared: LearnerConfig) 
     where = f"variants[{index}]"
     fields = _fields(raw, where, _VARIANT)
     label = fields["label"]
-    if not label or any(ch in label for ch in "/\\ "):
-        raise ConfigError(f"{where}.label: must be non-empty, without spaces or slashes")
+    if label in ("", ".", "..") or any(ch in label for ch in "/\\ "):
+        raise ConfigError(f"{where}.label: must be non-empty, not . or .., "
+                          "without spaces or slashes")
     comparator = _parse_comparator(fields["comparator"], f"{where}.comparator")
     graph = base
     if fields["preorder"] is not None:
@@ -209,7 +210,7 @@ def parse_config(raw: dict) -> RunConfig:
 
 def _read_json(path, what: str):
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"{what} file not found: {path}")
     try:
         return json.loads(path.read_text())

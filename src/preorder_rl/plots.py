@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+# Labels and the title as XML text.  xml.sax.saxutils.escape would import
+# urllib.request, http.client and ssl: about 3 MB more peak RSS per process.
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
 
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
@@ -49,7 +53,7 @@ def interval_plot_svg(entries: Sequence[tuple[str, float, float, float]],
              f'<rect width="{width}" height="{height}" fill="white"/>']
     if title:
         parts.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-                     f'font-size="14">{title}</text>')
+                     f'font-size="14">{title.translate(_XML_TEXT)}</text>')
     axis_y = top + row_h * len(entries) + 8
     parts.append(f'<line x1="{label_w}" y1="{axis_y}" x2="{label_w + plot_w}" y2="{axis_y}" '
                  f'stroke="black"/>')
@@ -62,7 +66,7 @@ def interval_plot_svg(entries: Sequence[tuple[str, float, float, float]],
     for row, (label, point, low, high) in enumerate(entries):
         cy = top + row_h * row + row_h / 2
         parts.append(f'<text x="{label_w - 8}" y="{cy + 4:.1f}" '
-                     f'text-anchor="end">{label}</text>')
+                     f'text-anchor="end">{label.translate(_XML_TEXT)}</text>')
         parts.append(f'<line x1="{x(low):.1f}" y1="{cy:.1f}" x2="{x(high):.1f}" y2="{cy:.1f}" '
                      f'stroke="steelblue" stroke-width="3"/>')
         for tick in (low, high):

@@ -8,12 +8,14 @@ survivors that no other inherited survivor still dominates.  The leaf
 survivor sets, merged through a virtual global leaf, are the actions a
 policy may play.
 
-:func:`select` scores every head under one comparator config, one
-vectorized :func:`~preorder_rl.comparators.score_heads` call per shape
-(a single call on a :class:`~preorder_rl.comparators.HeadStack`, whose
-heads share one block), thresholds all pairwise score gaps at once with the rule of
-:func:`~preorder_rl.comparators.classify_pairs`, and hands the verdicts
-to :func:`filter_verdicts`, the one survivor walk in the package;
+:func:`select` scores every head under one comparator config with
+:func:`~preorder_rl.comparators.score_heads`, the package's one scorer:
+one call on a :class:`~preorder_rl.comparators.HeadStack`'s block, or
+one :func:`~preorder_rl.comparators.action_scores` call per matrix of a
+list.  It thresholds all pairwise score gaps at once with the one
+verdict rule, which :func:`~preorder_rl.comparators.classify_pairs`
+applies to a single matrix, and hands the verdicts to
+:func:`filter_verdicts`, the one survivor walk in the package;
 :func:`~preorder_rl.relations.oracle_survivors` runs the same walk on
 verdicts from exact rewards.  The verdict recursion has a closed form: a
 pair takes an objective's own verdict exactly when no strict ancestor
@@ -34,9 +36,10 @@ from operator import and_, or_
 
 import numpy as np
 
-from .comparators import ComparatorConfig, HeadStack, QuantileMatrix, _verdicts, score_heads
-# perfbench/tracer.py wraps these names here; select itself no longer calls them.
-from .comparators import action_scores, classify_pairs  # noqa: F401
+from .comparators import (ComparatorConfig, HeadStack, QuantileMatrix, _verdicts,
+                          action_scores, score_heads)
+# perfbench/tracer.py wraps this name here; select itself does not call it.
+from .comparators import classify_pairs  # noqa: F401
 from .errors import ConfigError, EmptySetError, ShapeMismatch
 from .preorder import PreorderGraph
 
@@ -110,20 +113,12 @@ def select(graph: PreorderGraph, quantiles: Sequence[QuantileMatrix],
 
 
 def _score_matrices(quantiles: Sequence[QuantileMatrix], config: ComparatorConfig) -> np.ndarray:
-    """(objectives, actions) scores of separate matrices.  Heads stack
-    only with heads of the same shape and memory layout, so each is
-    scored exactly as it would be on its own."""
+    """(objectives, actions) scores of separate matrices, each scored on
+    its own by :func:`~preorder_rl.comparators.action_scores`."""
     n_actions = quantiles[0].n_actions
     if any(m.n_actions != n_actions for m in quantiles):
         raise ShapeMismatch("quantile matrices disagree on the action count")
-    groups: dict[tuple, list[int]] = {}
-    for obj, m in enumerate(quantiles):
-        groups.setdefault((m.values.shape, m.values.strides), []).append(obj)
-    scores = np.empty((len(quantiles), n_actions))
-    for objs in groups.values():
-        values = np.stack([quantiles[obj].values for obj in objs]).transpose(0, 2, 1)
-        scores[objs] = score_heads(values, config)
-    return scores
+    return np.array([action_scores(m, config) for m in quantiles])
 
 
 def filter_verdicts(graph: PreorderGraph, above: np.ndarray, below: np.ndarray,

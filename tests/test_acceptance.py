@@ -156,14 +156,14 @@ def test_pair_classification_is_affine_invariant() -> None:
         values = rng.normal(size=shape)
         config = ComparatorConfig(kinds[int(rng.integers(3))],
                                   epsilon=float(rng.uniform(0.0, 0.5)))
-        base = classify_pairs(QuantileMatrix(values), config)
+        base_dom, base_dom_by = classify_pairs(QuantileMatrix(values), config)
         for _ in range(100):
             alpha = float(rng.uniform(0.1, 10.0))
             beta = float(rng.uniform(-10.0, 10.0))
-            moved = classify_pairs(
+            moved_dom, moved_dom_by = classify_pairs(
                 QuantileMatrix(alpha * values + beta), config)
-            assert np.array_equal(moved.dom, base.dom)
-            assert np.array_equal(moved.dom_by, base.dom_by)
+            assert np.array_equal(moved_dom, base_dom)
+            assert np.array_equal(moved_dom_by, base_dom_by)
 
 
 def test_reward_relation_flips_and_matches_scalar_order() -> None:

@@ -193,6 +193,40 @@ def test_unknown_fields_exit_2_naming_the_block(tmp_path, capsys, block, where) 
     assert not Path(out).exists()
 
 
+def test_dot_dot_label_exits_2_before_train_writes(tmp_path, capsys) -> None:
+    # A label of ".." would put the variant's artifacts beside the run directory.
+    config = write_config(tmp_path, variants=[{"label": ".."}])
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: variants[0].label" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("case", "code"), [
+    ("train-config-dir", EXIT_CONFIG), ("stats-scores-dir", EXIT_MISSING),
+    ("select-dirs", EXIT_CONFIG), ("stats-out-file", EXIT_CONFIG),
+    ("train-out-file", EXIT_CONFIG)])
+def test_a_path_of_the_wrong_kind_exits_with_its_code(tmp_path, capsys, case, code) -> None:
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    scores = tmp_path / "scores.csv"
+    scores.write_text("algorithm,seed,run,score\nonly,0,0,1.0\n")
+    out = str(tmp_path / "out")
+    argv = {"train-config-dir": ["train", "--config", str(folder), "--out", out],
+            "stats-scores-dir": ["stats", "--scores", str(folder), "--out", out],
+            "select-dirs": ["select", str(folder), "--preorder", str(folder), "--out", out],
+            "stats-out-file": ["stats", "--scores", str(scores), "--out", str(plain)],
+            "train-out-file": ["train", "--config", str(write_config(tmp_path)),
+                               "--out", str(plain)]}[case]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("missing artifact: " if code == EXIT_MISSING
+                          else ("config error: ", "path error: "))
+    assert "Traceback" not in err
+
+
 def test_missing_artifacts_exit_3(tmp_path, capsys) -> None:
     config = write_config(tmp_path)
     out = str(tmp_path / "out")
@@ -230,6 +264,11 @@ def test_shape_problems_exit_4(tmp_path, capsys) -> None:
     capsys.readouterr()
     assert main(["stats", "--scores", str(short), "--out", out]) == EXIT_SHAPE
     assert str(short) in capsys.readouterr().err
+
+    misnamed = tmp_path / "misnamed_scores.csv"
+    misnamed.write_text("algo,seed,run,score\nonly,0,0,1.0\n")
+    assert main(["stats", "--scores", str(misnamed), "--out", out]) == EXIT_SHAPE
+    assert "shape mismatch" in capsys.readouterr().err
 
     scores = tmp_path / "scores.csv"
     scores.write_text("algorithm,seed,run,score\nonly,0,0,1.0\n")

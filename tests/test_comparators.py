@@ -16,11 +16,9 @@ from preorder_rl.comparators import (
     QuantileMatrix,
     action_scores,
     classify_pairs,
-    ideal_profile,
     midpoint_fractions,
     qd,
     score_heads,
-    w1_to_ideal,
     zscore_normalize,
 )
 from preorder_rl.errors import ConfigError, ShapeMismatch
@@ -31,6 +29,14 @@ from ._reference import ref_scores
 
 def matrix(rows) -> QuantileMatrix:
     return QuantileMatrix(rows)
+
+
+def w1_distances(rows) -> np.ndarray:
+    """Each action's W1 distance to the per-quantile maximum, read off qd:
+    an appended action equal to that maximum is at distance 0, so its row
+    of score gaps holds every other action's distance, bit for bit."""
+    values = np.asarray(rows, dtype=float)
+    return qd(matrix(np.column_stack([values, values.max(axis=1)])))[-1, :-1]
 
 
 def test_midpoint_fractions_are_uniform_midpoints() -> None:
@@ -105,27 +111,28 @@ def test_zscore_uses_population_statistics_over_all_entries() -> None:
 
 
 def test_ideal_profile_is_per_quantile_maximum() -> None:
-    assert ideal_profile(matrix([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx([1.0, 1.0])
-    column = [[0.3], [0.7]]
-    assert ideal_profile(matrix(column)) == pytest.approx([0.3, 0.7])
-    same = matrix([[0.2, 0.2], [0.9, 0.9]])
-    assert ideal_profile(same) == pytest.approx([0.2, 0.9])
+    # Appended as one more action, the ideal profile sits at distance 0:
+    # it leads each action by that action's mean gap to it, and the gaps
+    # between the other actions do not move.
+    for rows, ideal in (([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0]), ([[0.3], [0.7]], [0.3, 0.7]),
+                        ([[0.2, 0.2], [0.9, 0.9]], [0.2, 0.9])):
+        gaps = qd(matrix(np.column_stack([rows, ideal])))
+        assert gaps[-1, :-1] == pytest.approx((np.c_[ideal] - rows).mean(axis=0))
+        assert gaps[:-1, :-1] == pytest.approx(qd(matrix(rows)))
 
 
 def test_w1_to_ideal_mean_absolute_gap() -> None:
-    crossed = matrix([[0.0, 1.0], [1.0, 0.0]])
-    assert w1_to_ideal(crossed, [1.0, 1.0]) == pytest.approx([0.5, 0.5])
-    split = matrix([[1.0, 0.0], [1.0, 0.0]])
-    assert w1_to_ideal(split, [1.0, 1.0]) == pytest.approx([0.0, 1.0])
-    assert w1_to_ideal(matrix([[0.4], [0.6]])) == pytest.approx([0.0])
+    # [1, 1] is the per-quantile maximum of both matrices.
+    assert w1_distances([[0.0, 1.0], [1.0, 0.0]]) == pytest.approx([0.5, 0.5])
+    assert w1_distances([[1.0, 0.0], [1.0, 0.0]]) == pytest.approx([0.0, 1.0])
+    assert w1_distances([[0.4], [0.6]]) == pytest.approx([0.0])
 
 
 def test_w1_zero_exactly_for_actions_attaining_every_row_maximum() -> None:
     rng = np.random.default_rng(5)
     for _ in range(50):
         values = rng.normal(size=(4, 3))
-        m = matrix(values)
-        distances = w1_to_ideal(m)
+        distances = w1_distances(values)
         attains = (values == values.max(axis=1, keepdims=True)).all(axis=0)
         assert np.array_equal(distances == 0.0, attains)
 
@@ -147,22 +154,22 @@ def test_qd_antisymmetry_on_random_matrices() -> None:
 
 
 def test_classify_dominates_above_epsilon() -> None:
-    decision = classify_pairs(matrix([[1.0, 0.0], [1.0, 0.0]]), ComparatorConfig("qd", 0.2))
-    assert decision.dom[0, 1] and not decision.dom[1, 0]
-    assert decision.dom_by[1, 0] and not decision.dom_by[0, 1]
+    dom, dom_by = classify_pairs(matrix([[1.0, 0.0], [1.0, 0.0]]), ComparatorConfig("qd", 0.2))
+    assert dom[0, 1] and not dom[1, 0]
+    assert dom_by[1, 0] and not dom_by[0, 1]
 
 
 def test_classify_indifferent_within_epsilon() -> None:
     # The z-scored score gap for this pair is exactly 2.
-    decision = classify_pairs(matrix([[1.0, 0.0], [1.0, 0.0]]), ComparatorConfig("qd", 2.5))
-    assert not decision.dom.any()
-    assert not decision.dom_by.any()
+    dom, dom_by = classify_pairs(matrix([[1.0, 0.0], [1.0, 0.0]]), ComparatorConfig("qd", 2.5))
+    assert not dom.any()
+    assert not dom_by.any()
 
 
 def test_classify_diagonal_always_clear() -> None:
-    decision = classify_pairs(matrix([[1.0, 0.0]]), ComparatorConfig("qd", 0.0))
-    assert not decision.dom.diagonal().any()
-    assert not decision.dom_by.diagonal().any()
+    dom, dom_by = classify_pairs(matrix([[1.0, 0.0]]), ComparatorConfig("qd", 0.0))
+    assert not dom.diagonal().any()
+    assert not dom_by.diagonal().any()
 
 
 def test_no_conflicts_within_a_single_call() -> None:
@@ -170,18 +177,18 @@ def test_no_conflicts_within_a_single_call() -> None:
     for kind in ("qd", "cvar", "mv"):
         for _ in range(50):
             m = matrix(rng.normal(size=(4, 4)))
-            decision = classify_pairs(m, ComparatorConfig(kind, 0.1))
-            assert not (decision.dom & decision.dom_by).any()
-            assert np.array_equal(decision.dom, decision.dom_by.T)
+            dom, dom_by = classify_pairs(m, ComparatorConfig(kind, 0.1))
+            assert not (dom & dom_by).any()
+            assert np.array_equal(dom, dom_by.T)
 
 
 def test_single_quantile_zero_epsilon_is_scalar_comparison() -> None:
     m = matrix([[3.0, 1.0, 2.0]])
-    decision = classify_pairs(m, ComparatorConfig("qd", 0.0))
+    dom, _ = classify_pairs(m, ComparatorConfig("qd", 0.0))
     order = m.values[0]
     for a in range(3):
         for b in range(3):
-            assert decision.dom[a, b] == (a != b and order[a] > order[b])
+            assert dom[a, b] == (a != b and order[a] > order[b])
 
 
 def test_affine_invariance_of_classification() -> None:
@@ -192,10 +199,10 @@ def test_affine_invariance_of_classification() -> None:
             values = rng.normal(size=(3, 4))
             scale = float(rng.uniform(0.1, 10.0))
             shift = float(rng.normal(scale=5.0))
-            base = classify_pairs(matrix(values), cfg)
-            mapped = classify_pairs(matrix(scale * values + shift), cfg)
-            assert np.array_equal(base.dom, mapped.dom)
-            assert np.array_equal(base.dom_by, mapped.dom_by)
+            base_dom, base_dom_by = classify_pairs(matrix(values), cfg)
+            mapped_dom, mapped_dom_by = classify_pairs(matrix(scale * values + shift), cfg)
+            assert np.array_equal(base_dom, mapped_dom)
+            assert np.array_equal(base_dom_by, mapped_dom_by)
 
 
 def test_scores_match_plain_python_reference() -> None:

@@ -192,8 +192,9 @@ def test_variant_errors_name_the_offending_entry() -> None:
         parse_config(minimal(variants=[]))
     with pytest.raises(ConfigError, match=r"variants\[0\]: expected an object"):
         parse_config(minimal(variants=["pr"]))
-    with pytest.raises(ConfigError, match=r"variants\[0\].label"):
-        parse_config(minimal(variants=[{"label": "has space"}]))
+    for label in ("has space", ".", ".."):
+        with pytest.raises(ConfigError, match=r"variants\[0\].label"):
+            parse_config(minimal(variants=[{"label": label}]))
     with pytest.raises(ConfigError, match=r"^variants\[1\]: mode must be one of"):
         parse_config(minimal(variants=[{"label": "a"}, {"label": "b", "mode": "maximal"}]))
     with pytest.raises(ConfigError, match=r"variants\[0\].comparator"):

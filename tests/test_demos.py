@@ -1,5 +1,5 @@
 """Every quick demo and every README example runs against the current package,
-and the README module table lists every module.
+the README module table lists every module, and the export list resolves.
 
 ``demos/05_crossing_the_grid.py`` trains on the crossing grid for about
 20 s and is left out.
@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import preorder_rl
 from preorder_rl.cli import _build_parser
 from preorder_rl.config import parse_config
 
@@ -74,3 +75,13 @@ def test_readme_module_table_lists_every_module() -> None:
     modules = {path.stem for path in (ROOT / "src" / "preorder_rl").glob("*.py")}
     assert len(rows) == len(set(rows))
     assert set(rows) == modules - {"__init__", "__main__"}
+
+
+def test_every_exported_name_resolves() -> None:
+    # A star import fails on an __all__ entry the package no longer defines.
+    namespace: dict = {}
+    exec("from preorder_rl import *", namespace)
+    assert len(preorder_rl.__all__) == len(set(preorder_rl.__all__))
+    for name in preorder_rl.__all__:
+        assert hasattr(preorder_rl, name), name
+        assert namespace[name] is getattr(preorder_rl, name)

@@ -325,7 +325,7 @@ def test_load_scores_groups_by_algorithm(tmp_path) -> None:
         load_scores(tmp_path / "absent.csv")
     bad = tmp_path / "bad.csv"
     bad.write_text("name,value\nx,1\n")
-    with pytest.raises(MissingArtifact, match="expected header"):
+    with pytest.raises(ShapeMismatch, match="expected header"):
         load_scores(bad)
     short = tmp_path / "short.csv"
     short.write_text("algorithm,seed,run,score\na,0,0,1.0\na,0\n")

@@ -342,9 +342,9 @@ def test_unordered_objectives_keep_each_matrix_own_verdicts(layout) -> None:
         config = replace(base, epsilon=float(abs(edge_scores[a] - edge_scores[b])))
         state = select(build_graph(n_objectives, []), mats, config)
         for obj in range(n_objectives):
-            alone = classify_pairs(mats[obj], config)
-            assert np.array_equal(state.dom[obj], alone.dom)
-            assert np.array_equal(state.dom_by[obj], alone.dom_by)
+            dom, dom_by = classify_pairs(mats[obj], config)
+            assert np.array_equal(state.dom[obj], dom)
+            assert np.array_equal(state.dom_by[obj], dom_by)
 
 
 def test_head_stack_filters_exactly_as_its_list_of_views() -> None:
@@ -417,8 +417,8 @@ def test_head_stack_is_a_read_only_sequence_of_tensor_views() -> None:
 
 @pytest.mark.parametrize("kind", ["qd", "cvar", "mv"])
 def test_roots_with_different_quantile_counts_keep_each_matrix_own_verdicts(kind) -> None:
-    # Matrices of different quantile counts cannot stack, so select scores
-    # them in separate groups; each root still gets its matrix's own verdicts.
+    # Matrices of different quantile counts cannot stack, and select scores
+    # a list one matrix at a time; each root gets its matrix's own verdicts.
     rng = np.random.default_rng(1949)
     for _ in range(50):
         n_actions = int(rng.integers(2, 7))
@@ -428,9 +428,9 @@ def test_roots_with_different_quantile_counts_keep_each_matrix_own_verdicts(kind
                                   mv_lambda=float(rng.uniform(0.0, 2.0)))
         state = select(build_graph(3, []), mats, config)
         for obj, m in enumerate(mats):
-            alone = classify_pairs(m, config)
-            assert np.array_equal(state.dom[obj], alone.dom)
-            assert np.array_equal(state.dom_by[obj], alone.dom_by)
+            dom, dom_by = classify_pairs(m, config)
+            assert np.array_equal(state.dom[obj], dom)
+            assert np.array_equal(state.dom_by[obj], dom_by)
 
 
 # sha256 of the filter's output over every state of a small trained

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import xml.dom.minidom
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,15 @@ def test_interval_plot_lists_every_label() -> None:
     for label in ("preorder", "baseline", "success"):
         assert label in svg
     assert interval_plot_svg(entries) == interval_plot_svg(entries)
+
+
+def test_interval_plot_escapes_markup_in_labels_and_title() -> None:
+    label = 'q&a<b>"c"'
+    svg = interval_plot_svg([(label, 0.5, 0.4, 0.6), ("plain", 0.2, 0.1, 0.3)],
+                            title="a<b & c")
+    texts = [node.firstChild.data for node in
+             xml.dom.minidom.parseString(svg).getElementsByTagName("text")]
+    assert label in texts and "plain" in texts and "a<b & c" in texts
 
 
 def test_interval_plot_accepts_degenerate_spans() -> None:
