@@ -9,13 +9,11 @@ which is what makes the structure a preorder rather than a total order.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, CycleError, _integer, _string
-
-ObjectiveId = int
+from .errors import ConfigError, CycleError, _integer
 
 # The most objectives a preorder, a learner or an env takes.  The graph's
 # topological sort is cubic in the count; the crossing grid uses 5.
@@ -33,15 +31,11 @@ def _objective_count(value) -> int:
     return n
 
 
-def _items(values, name: str) -> Iterable:
-    if isinstance(values, str) or not isinstance(values, Iterable):
-        raise ConfigError(f"{name} must be a sequence, got {values!r}")
-    return values
-
-
 def _edges(edges) -> frozenset[tuple[int, int]]:
+    if isinstance(edges, str) or not isinstance(edges, Iterable):
+        raise ConfigError(f"edges must be a sequence, got {edges!r}")
     pairs = set()
-    for i, edge in enumerate(_items(edges, "edges")):
+    for i, edge in enumerate(edges):
         name = f"edges[{i}]"
         if not isinstance(edge, (list, tuple)) or len(edge) != 2:
             raise ConfigError(f"{name} must be one (higher, lower) pair, got {edge!r}")
@@ -53,12 +47,12 @@ class PreorderGraph:
     """Validated precedence DAG with cached traversal structure.
 
     Instances are immutable after construction.  The constructor turns
-    the edges into one boolean adjacency matrix and derives everything
-    else from it: the deterministic topological order (the lowest-index
-    objective with no unplaced parent goes next), per-node parent and
-    child sets, the leaves, and these read-only forms of that structure,
-    shared by strict-precedence queries, :mod:`~preorder_rl.relations`
-    and the survivor filter:
+    the edges into one read-only boolean adjacency matrix and derives
+    everything else from it: the deterministic topological order (the
+    lowest-index objective with no unplaced parent goes next), the
+    leaves, and these read-only forms of that structure, shared by
+    strict-precedence queries, :mod:`~preorder_rl.relations` and the
+    survivor filter:
 
     * ``ancestors[j, i]`` is True when i strictly precedes j (the
       transposed transitive closure);
@@ -68,21 +62,16 @@ class PreorderGraph:
 
     Raises:
         ConfigError: a field of the wrong form, named: ``n_objectives``
-            (an integer in 1..``MAX_OBJECTIVES``), ``edges[i]`` (one
-            (higher, lower) pair of integers) or ``names``.
+            (an integer in 1..``MAX_OBJECTIVES``) or ``edges[i]`` (one
+            (higher, lower) pair of integers).
         IndexError: an edge endpoint is outside ``0..n_objectives-1``.
         CycleError: the edges contain a self-loop or a directed cycle.
     """
 
-    __slots__ = ("n_objectives", "edges", "names", "_parents", "_children", "_leaves",
-                 "_order", "ancestors", "ancestors_or_self", "walk")
+    __slots__ = ("n_objectives", "edges", "_adjacency", "_leaves", "_order",
+                 "ancestors", "ancestors_or_self", "walk")
 
-    def __init__(
-        self,
-        n_objectives: int,
-        edges: Iterable[tuple[int, int]] = (),
-        names: Sequence[str] | None = None,
-    ) -> None:
+    def __init__(self, n_objectives: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         n = _objective_count(n_objectives)
         edge_set = _edges(edges)
         adjacency = np.zeros((n, n), dtype=bool)
@@ -92,22 +81,17 @@ class PreorderGraph:
             if high == low:
                 raise CycleError(f"self-loop on objective {high}")
             adjacency[high, low] = True
-        if names is None:
-            names = tuple(f"obj{i}" for i in range(n))
-        else:
-            names = tuple(_string(s, f"names[{i}]") for i, s in enumerate(_items(names, "names")))
-            if len(names) != n:
-                raise ConfigError(f"names must hold {n} values, got {len(names)}")
 
-        rows = adjacency.tolist()
-        parents = tuple(frozenset(i for i in range(n) if rows[i][j]) for j in range(n))
         order: list[int] = []
-        while len(order) < n:
-            ready = [j for j in range(n) if j not in order and parents[j].issubset(order)]
-            if not ready:
-                stuck = [j for j in range(n) if j not in order]
+        left = np.ones(n, dtype=bool)
+        for _ in range(n):
+            # Ready: not yet placed, and no parent left to place.
+            ready = np.flatnonzero(left & ~adjacency[left].any(axis=0))
+            if not ready.size:
+                stuck = np.flatnonzero(left).tolist()
                 raise CycleError(f"precedence edges contain a cycle through objectives {stuck}")
-            order.append(ready[0])
+            order.append(int(ready[0]))
+            left[ready[0]] = False
         # In reverse topological order every child's reach row is final
         # before its parents OR it in.
         reach = adjacency.copy()
@@ -116,16 +100,14 @@ class PreorderGraph:
 
         self.n_objectives = n
         self.edges = edge_set
-        self.names = names
-        self._parents = parents
-        self._children = tuple(frozenset(j for j in range(n) if rows[i][j]) for i in range(n))
-        self._leaves = frozenset(i for i in range(n) if not any(rows[i]))
+        self._adjacency = adjacency
+        self._leaves = frozenset(np.flatnonzero(~adjacency.any(axis=1)).tolist())
         self._order = tuple(order)
         self.ancestors = np.ascontiguousarray(reach.T)
         self.ancestors_or_self = self.ancestors | np.eye(n, dtype=bool)
-        for structure in (self.ancestors, self.ancestors_or_self):
+        for structure in (adjacency, self.ancestors, self.ancestors_or_self):
             structure.setflags(write=False)
-        self.walk = tuple((obj, tuple(sorted(self._parents[obj]))) for obj in order)
+        self.walk = tuple((obj, tuple(np.flatnonzero(adjacency[:, obj]).tolist())) for obj in order)
 
     def topological_sort(self) -> tuple[int, ...]:
         """All objectives, every parent before each of its children."""
@@ -133,11 +115,11 @@ class PreorderGraph:
 
     def parents(self, objective: int) -> frozenset[int]:
         """Direct higher-priority neighbours of ``objective``."""
-        return self._parents[self._check(objective)]
+        return frozenset(np.flatnonzero(self._adjacency[:, self._check(objective)]).tolist())
 
     def children(self, objective: int) -> frozenset[int]:
         """Direct lower-priority neighbours of ``objective``."""
-        return self._children[self._check(objective)]
+        return frozenset(np.flatnonzero(self._adjacency[self._check(objective)]).tolist())
 
     def leaves(self) -> frozenset[int]:
         """Objectives with no lower-priority successors."""
@@ -169,7 +151,6 @@ class PreorderGraph:
         return hash((self.n_objectives, self.edges))
 
 
-def build_graph(n_objectives: int, edges: Iterable[tuple[int, int]] = (),
-                names: Sequence[str] | None = None) -> PreorderGraph:
+def build_graph(n_objectives: int, edges: Iterable[tuple[int, int]] = ()) -> PreorderGraph:
     """Build and validate a :class:`PreorderGraph`."""
-    return PreorderGraph(n_objectives, edges, names)
+    return PreorderGraph(n_objectives, edges)

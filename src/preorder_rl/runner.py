@@ -77,8 +77,8 @@ def _train_job(raw: dict, label: str, seed: int, out_dir: str) -> str:
 def run_train(config: RunConfig, out_dir, seeds=None, jobs: int = 1) -> Path:
     """Train every variant for every seed; returns the run directory.
 
-    ``seeds`` and ``jobs`` are checked before anything is written; the
-    run directory appears with the first pair that trains without error.
+    ``seeds``, ``jobs`` and ``out_dir`` are checked before any pair trains;
+    the run directory appears with the first pair that trains without error.
     """
     seeds = config.seeds if seeds is None else _seeds(seeds, "seeds")
     if _integer(jobs, "jobs") < 1:
@@ -86,6 +86,13 @@ def run_train(config: RunConfig, out_dir, seeds=None, jobs: int = 1) -> Path:
     env = make_env(config.env)
     for variant in config.variants:
         _check_env(env, variant.learner, variant.graph)
+    # The nearest existing one of out_dir and its ancestors must be a
+    # directory, or mkdir would fail only after the first pair trained.
+    nearest = Path(out_dir).absolute()
+    while not nearest.exists():
+        nearest = nearest.parent
+    if not nearest.is_dir():
+        raise NotADirectoryError(f"{nearest} is not a directory")
     pairs = [(variant, seed) for variant in config.variants for seed in seeds]
     if jobs > 1:
         # Imported here: the pool pulls in multiprocessing, which serial runs never use.
@@ -249,7 +256,8 @@ def run_stats(scores_path, out_dir, seed: int = 0, n_resamples: int = 2000,
     pairs), and ``stats.svg`` (IQM intervals).  Deterministic for a
     fixed ``seed``.  A negative or non-integer ``seed``, fewer than
     ``stats.MIN_RESAMPLES`` resamples and a non-finite ``gap_target``
-    raise ``ConfigError`` before anything is read or written.
+    raise ``ConfigError`` before anything is read or written, and a
+    resample matrix over ``stats.MAX_RESAMPLE_BYTES`` before ``out_dir`` is made.
     """
     for name, value, least in (("seed", seed, 0),
                                ("n_resamples", n_resamples, stats_mod.MIN_RESAMPLES)):
@@ -257,8 +265,6 @@ def run_stats(scores_path, out_dir, seed: int = 0, n_resamples: int = 2000,
             raise ConfigError(f"{name}: expected an integer >= {least}, got {value!r}")
     gap_target = _real(gap_target, "gap_target")
     grouped = load_scores(scores_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     names = sorted(grouped)
     summary_rows = []
     plot_entries = []
@@ -272,12 +278,15 @@ def run_stats(scores_path, out_dir, seed: int = 0, n_resamples: int = 2000,
             lambda s: stats_mod.optimality_gap(s, gap_target), scores, n_resamples, rng=rng)
         summary_rows.append([name, len(scores), point, lo, hi, gap, gap_lo, gap_hi])
         plot_entries.append((name, point, min(lo, point), max(hi, point)))
+    pairs = [[a, b, stats_mod.prob_improvement(grouped[a], grouped[b])]
+             for a in names for b in names if a != b]
+    svg = interval_plot_svg(plot_entries, title="score IQM, 95% CI")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_rows(out / "stats_summary.csv",
                ["algorithm", "n", "iqm", "iqm_lo", "iqm_hi",
                 "opt_gap", "opt_gap_lo", "opt_gap_hi"],
                summary_rows)
-    pairs = [[a, b, stats_mod.prob_improvement(grouped[a], grouped[b])]
-             for a in names for b in names if a != b]
     write_rows(out / "prob_improvement.csv", ["algorithm_x", "algorithm_y", "prob"], pairs)
-    (out / "stats.svg").write_text(interval_plot_svg(plot_entries, title="score IQM, 95% CI"))
+    (out / "stats.svg").write_text(svg)
     return out / "stats_summary.csv"

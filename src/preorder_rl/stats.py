@@ -6,7 +6,11 @@ from collections.abc import Callable
 
 import numpy as np
 
+from .errors import ConfigError
+
 MIN_RESAMPLES = 100
+# The largest (n_resamples, n) int64 index matrix bootstrap_ci draws.
+MAX_RESAMPLE_BYTES = 1 << 30
 
 
 def _scores(values) -> np.ndarray:
@@ -58,13 +62,18 @@ def bootstrap_ci(statistic: Callable[[np.ndarray], np.ndarray], values,
     resampled scores, and must reduce its last axis: it returns one
     value per row, as :func:`iqm` and :func:`optimality_gap` do.
     Resampling is driven by ``rng`` (a fresh default generator when
-    None), so intervals reproduce exactly for a fixed seed.
+    None), so intervals reproduce exactly for a fixed seed.  An index
+    matrix over ``MAX_RESAMPLE_BYTES`` raises ``ConfigError`` before any draw.
     """
     if n_resamples < MIN_RESAMPLES:
         raise ValueError(f"need at least {MIN_RESAMPLES} resamples, got {n_resamples}")
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     arr = _scores(values).ravel()
+    size = 8 * int(n_resamples) * arr.size
+    if size > MAX_RESAMPLE_BYTES:
+        raise ConfigError(f"n_resamples: {n_resamples} resamples of {arr.size} scores need "
+                          f"{size} index bytes, over the {MAX_RESAMPLE_BYTES}-byte budget")
     if rng is None:
         rng = np.random.default_rng()
     idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))

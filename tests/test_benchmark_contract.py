@@ -8,6 +8,7 @@ a traced name, stops calling a live one or changes an artifact byte.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from .test_acceptance import GRID_CONFIG
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("grid-train-preorder", "grid-train-scalar", "grid-evaluate-report")
@@ -42,3 +45,15 @@ def test_traced_benchmark_child_matches_digests(workload, tmp_path) -> None:
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["failures"] == []
     assert set(result["uncovered"]) <= DEAD_SPANS[workload]
+
+
+def test_benchmark_grid_config_is_the_acceptance_grid_config(monkeypatch) -> None:
+    # The workloads scale only the episode and seed counts of this config,
+    # so a setting changed in one copy alone would time another run.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # Registered while it runs: its dataclasses look their module up by name.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert workloads.GRID_CONFIG == GRID_CONFIG

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from preorder_rl import runner
 from preorder_rl.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_OK, EXIT_SHAPE, _build_parser, main
 from preorder_rl.artifacts import save_quantile_csv
 from preorder_rl.comparators import ComparatorConfig, QuantileMatrix, midpoint_fractions
@@ -205,8 +206,11 @@ def test_dot_dot_label_exits_2_before_train_writes(tmp_path, capsys) -> None:
 @pytest.mark.parametrize(("case", "code"), [
     ("train-config-dir", EXIT_CONFIG), ("stats-scores-dir", EXIT_MISSING),
     ("select-dirs", EXIT_CONFIG), ("stats-out-file", EXIT_CONFIG),
-    ("train-out-file", EXIT_CONFIG)])
-def test_a_path_of_the_wrong_kind_exits_with_its_code(tmp_path, capsys, case, code) -> None:
+    ("train-out-file", EXIT_CONFIG), ("train-out-under-file", EXIT_CONFIG)])
+def test_a_path_of_the_wrong_kind_exits_with_its_code(tmp_path, capsys, monkeypatch, case,
+                                                      code) -> None:
+    trained = []
+    monkeypatch.setattr(runner, "train", lambda *args: trained.append(args))
     folder = tmp_path / "folder"
     folder.mkdir()
     plain = tmp_path / "plain.txt"
@@ -219,12 +223,15 @@ def test_a_path_of_the_wrong_kind_exits_with_its_code(tmp_path, capsys, case, co
             "select-dirs": ["select", str(folder), "--preorder", str(folder), "--out", out],
             "stats-out-file": ["stats", "--scores", str(scores), "--out", str(plain)],
             "train-out-file": ["train", "--config", str(write_config(tmp_path)),
-                               "--out", str(plain)]}[case]
+                               "--out", str(plain)],
+            "train-out-under-file": ["train", "--config", str(write_config(tmp_path)),
+                                     "--out", str(plain / "sub")]}[case]
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("missing artifact: " if code == EXIT_MISSING
                           else ("config error: ", "path error: "))
     assert "Traceback" not in err
+    assert trained == []
 
 
 def test_missing_artifacts_exit_3(tmp_path, capsys) -> None:
@@ -280,7 +287,9 @@ def test_shape_problems_exit_4(tmp_path, capsys) -> None:
 @pytest.mark.parametrize(("flag", "message"), [
     ("--seed=-1", "seed: expected an integer >= 0, got -1"),
     ("--resamples=10", "n_resamples: expected an integer >= 100, got 10"),
-    ("--gap-target=nan", "gap_target must be finite, got nan")])
+    ("--gap-target=nan", "gap_target must be finite, got nan"),
+    ("--resamples=1000000000000", "n_resamples: 1000000000000 resamples of 1 scores need "
+     "8000000000000 index bytes, over the 1073741824-byte budget")])
 def test_bad_stats_setting_exits_2_before_anything_is_written(tmp_path, capsys, flag,
                                                               message) -> None:
     scores = tmp_path / "scores.csv"

@@ -100,23 +100,29 @@ COLLECTIONS = [
     ("EnvSpec", "params", (True, None, "width", [("width", 3)])),
     ("PreorderGraph", "edges", (True, None, "01", 3, [(0, 1, 1)], [0, 1], [(0,)])
      + tuple([(0, value)] for value in WRONG_FORMS[int])),
-    ("PreorderGraph", "names", (True, "ab", 3) + tuple(("a", value) for value in WRONG_FORMS[str])),
+]
+SEEDS = [
     ("run_train", "seeds", (True, "0", 3) + tuple((0, value) for value in WRONG_FORMS[int])),
     ("run_evaluate", "seeds", (True, "0", 3) + tuple((0, value) for value in WRONG_FORMS[int])),
 ]
 
 # Values of the right form beyond a documented upper bound.
-OUT_OF_RANGE = [("make_env", "width", HUGE), ("make_env", "height", HUGE)] + [
+SIZES = [("make_env", "width", HUGE), ("make_env", "height", HUGE)] + [
     (maker, "n_objectives", value) for maker in ("PreorderGraph", "LearnerConfig", "chain-mdp")
-    for value in (HUGE, MAX_OBJECTIVES + 1)] + [
+    for value in (HUGE, MAX_OBJECTIVES + 1)]
+LENGTHS = [
     ("chain-mdp", "length", HUGE), ("chain-mdp", "length", ChainMDP.MAX_LENGTH + 1),
     ("chain-mdp", "length", 2**61),
     ("train on chain-mdp", "quantile_count", HUGE),
     ("train on chain-mdp", "quantile_count", MAX_TENSOR_BYTES // 32 + 1)]
 
+# Pytest ids a tuple value by its position in CASES (``run_train-seeds-value116``),
+# so a case added or removed before it renames it: add new cases at the end.
 CASES = ([(maker, field, value) for maker, field, kind in SCALARS for value in WRONG_FORMS[kind]]
          + [(maker, field, value) for maker, field, values in COLLECTIONS for value in values]
-         + OUT_OF_RANGE)
+         + SIZES
+         + [(maker, field, value) for maker, field, values in SEEDS for value in values]
+         + LENGTHS)
 
 
 @pytest.mark.parametrize(("maker", "field", "value"), CASES, ids=form_id)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 
+import numpy as np
 import pytest
 
 from preorder_rl.errors import ConfigError, CycleError
@@ -90,20 +91,13 @@ def test_empty_graph_rejected() -> None:
         build_graph(0)
 
 
-def test_names_default_and_length_check() -> None:
-    graph = build_graph(2, [(0, 1)], names=["safety", "speed"])
-    assert graph.names == ("safety", "speed")
-    assert build_graph(2).names == ("obj0", "obj1")
-    with pytest.raises(ValueError):
-        build_graph(2, names=["only-one"])
-
-
-def test_equality_ignores_names() -> None:
-    a = build_graph(2, [(0, 1)], names=["x", "y"])
-    b = build_graph(2, [(0, 1)])
+def test_equality_ignores_edge_order_and_duplicates() -> None:
+    a = build_graph(3, [(0, 1), (1, 2)])
+    b = build_graph(3, [(1, 2), (0, 1), (1, 2)])
     assert a == b
     assert hash(a) == hash(b)
-    assert a != build_graph(2)
+    assert a != build_graph(3, [(0, 1)])
+    assert a != build_graph(4, [(0, 1), (1, 2)])
 
 
 def test_out_of_range_queries_rejected() -> None:
@@ -147,7 +141,24 @@ def test_topological_sort_matches_the_reference_on_permuted_dags() -> None:
                  for a, b in (rng.sample(range(n), 2) for _ in range(rng.randint(0, 2 * n)))
                  } if n > 1 else set()
         graph = build_graph(n, edges)
-        assert graph.topological_sort() == tuple(ref_topological_order(n, edges))
+        order = graph.topological_sort()
+        assert order == tuple(ref_topological_order(n, edges))
+        parents = [sorted(a for a, b in edges if b == j) for j in range(n)]
+        assert graph.walk == tuple((j, tuple(parents[j])) for j in order)
+        for i in range(n):
+            assert graph.parents(i) == set(parents[i])
+            assert graph.children(i) == {b for a, b in edges if a == i}
+        assert graph.leaves() == {i for i in range(n) if not any(a == i for a, _ in edges)}
+        for j in range(n):
+            # Every objective with a path to j, found by a search up the parents.
+            above, stack = set(), list(parents[j])
+            while stack:
+                i = stack.pop()
+                if i not in above:
+                    above.add(i)
+                    stack.extend(parents[i])
+            assert set(np.flatnonzero(graph.ancestors[j]).tolist()) == above
+            assert set(np.flatnonzero(graph.ancestors_or_self[j]).tolist()) == above | {j}
 
 
 def test_transitive_closure_matches_path_search() -> None:

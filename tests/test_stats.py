@@ -7,6 +7,8 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
+from preorder_rl import stats
+from preorder_rl.errors import ConfigError
 from preorder_rl.plots import interval_plot_svg
 from preorder_rl.stats import bootstrap_ci, iqm, optimality_gap, prob_improvement
 
@@ -92,11 +94,20 @@ def test_bootstrap_ci_degenerate_on_constant_scores() -> None:
     assert lo == hi == 2.5
 
 
-def test_bootstrap_ci_validation() -> None:
+def test_bootstrap_ci_validation(monkeypatch) -> None:
     with pytest.raises(ValueError):
         bootstrap_ci(iqm, [1.0, 2.0], n_resamples=10)
     with pytest.raises(ValueError):
         bootstrap_ci(iqm, [1.0, 2.0], confidence=1.5)
+    # An index matrix over the budget is refused before anything is drawn.
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigError, match=r"^n_resamples: 1000000000000 resamples of 2 scores"):
+        bootstrap_ci(iqm, [1.0, 2.0], n_resamples=10**12, rng=rng)
+    assert rng.random() == np.random.default_rng(0).random()
+    monkeypatch.setattr(stats, "MAX_RESAMPLE_BYTES", 8 * 100 * 2)
+    bootstrap_ci(iqm, [1.0, 2.0], n_resamples=100)
+    with pytest.raises(ConfigError, match="^n_resamples: 101 resamples"):
+        bootstrap_ci(iqm, [1.0, 2.0], n_resamples=101)
 
 
 def test_batched_statistics_equal_the_per_row_calls() -> None:
