@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -50,44 +50,41 @@ def write_rows(path, header: Sequence[str], rows) -> Path:
     return path
 
 
-def read_rows(path, what: str) -> tuple[list[str], list[list[str]]]:
-    """The header and body rows of the CSV at ``path``; every row must be
-    as wide as the header.  ``what`` names the file in the error raised
-    when it is absent (a directory counts as absent)."""
+def read_rows(path, what: str) -> tuple[list[str], list[list[str]], list[int]]:
+    """The header, the body rows and the lines of the CSV at ``path``;
+    every row must be as wide as the header.  ``lines[i]`` is the physical
+    (``\\n``-counted) line on which body row ``i`` starts: ``csv`` also
+    ends a record at a lone ``\\r`` and lets a quoted cell span lines, so
+    record and line counts differ.  ``what`` names the file in the error
+    raised when it is absent (a directory counts as absent)."""
     path = Path(path)
     if not path.is_file():
         raise MissingArtifact(f"no {what} at {path}")
     with path.open(newline="") as handle:
-        header, *rows = list(csv.reader(handle)) or [[]]
-    for row_index, row in enumerate(rows):
+        chunks = list(handle)
+    breaks = [0, *accumulate(chunk.endswith("\n") for chunk in chunks)]
+    reader = csv.reader(chunks)
+    # Each record, and the line on which the record after it starts.
+    records = [(record, 1 + breaks[reader.line_num]) for record in reader] or [([], 1)]
+    header, rows = records[0][0], [record for record, _ in records[1:]]
+    lines = [line for _, line in records[:-1]]
+    for row, line in zip(rows, lines):
         if len(row) != len(header):
-            raise ShapeMismatch(f"{path}, line {_row_line(path, row_index)}: "
+            raise ShapeMismatch(f"{path}, line {line}: "
                                 f"expected {len(header)} fields, got {len(row)}")
-    return header, rows
+    return header, rows, lines
 
 
-def _row_line(path, row_index: int) -> int:
-    """The physical (``\\n``-counted) line on which body row ``row_index``
-    of the CSV at ``path`` starts.  ``csv`` also ends a record at a lone
-    ``\\r`` and lets a quoted cell span lines, so record and line counts
-    differ; only an error pays for this second read."""
-    with Path(path).open(newline="") as handle:
-        lines = list(handle)
-    reader = csv.reader(lines)
-    for _ in range(row_index + 1):
-        next(reader)
-    return 1 + sum(line.endswith("\n") for line in lines[:reader.line_num])
-
-
-def parse_rows(path, rows: list[list[str]], parse) -> list:
+def parse_rows(path, rows: list[list[str]], lines: list[int], parse) -> list:
     """``parse(row)`` for every body row read from ``path``; a cell it
-    cannot convert raises :class:`ShapeMismatch` naming the file and line."""
+    cannot convert raises :class:`ShapeMismatch` naming the file and the
+    row's line from ``lines``."""
     parsed = []
-    for row_index, row in enumerate(rows):
+    for row, line in zip(rows, lines):
         try:
             parsed.append(parse(row))
         except ValueError as exc:
-            raise ShapeMismatch(f"{path}, line {_row_line(path, row_index)}: {exc}") from None
+            raise ShapeMismatch(f"{path}, line {line}: {exc}") from None
     return parsed
 
 
@@ -316,11 +313,11 @@ def save_episode_log(records: Sequence[EpisodeRecord], path) -> None:
 
 
 def load_episode_log(path) -> list[EpisodeRecord]:
-    header, rows = read_rows(path, "episode log")
+    header, rows, lines = read_rows(path, "episode log")
     if not header or header[0] != "episode" or header[-4:] != _OUTCOMES:
         raise ShapeMismatch(f"{path}: unexpected header {header}")
     n = len(header) - 5
-    return parse_rows(path, rows, lambda row: EpisodeRecord(
+    return parse_rows(path, rows, lines, lambda row: EpisodeRecord(
         int(row[0]), tuple(float(v) for v in row[1:1 + n]), bool(int(row[1 + n])),
         bool(int(row[2 + n])), bool(int(row[3 + n])), float(row[4 + n])))
 
@@ -335,17 +332,17 @@ def load_quantile_csv(path) -> QuantileMatrix:
     """Read a matrix written by :func:`save_quantile_csv`; the file's path
     heads every error, which keeps its type.  A ``tau`` column off the
     midpoint fractions raises :class:`ConfigError`."""
-    header, rows = read_rows(path, "quantile CSV")
+    header, rows, lines = read_rows(path, "quantile CSV")
     if not header or header[0] != "tau":
         raise ShapeMismatch(f"{path}: expected a header starting with 'tau'")
     if not rows:
         raise ShapeMismatch(f"{path}: no quantile rows")
-    data = np.array(parse_rows(path, rows, lambda row: [float(cell) for cell in row]))
+    data = np.array(parse_rows(path, rows, lines, lambda row: [float(cell) for cell in row]))
     expected = midpoint_fractions(len(data))
     wrong = np.flatnonzero(data[:, 0] != expected)
     if wrong.size:
         row = int(wrong[0])
-        raise ConfigError(f"{path}, line {_row_line(path, row)}: tau must be the midpoint "
+        raise ConfigError(f"{path}, line {lines[row]}: tau must be the midpoint "
                           f"fractions (2k-1)/2K, {expected.tolist()}, got {data[row, 0].item()!r}")
     try:
         return QuantileMatrix(data[:, 1:])
@@ -356,14 +353,14 @@ def load_quantile_csv(path) -> QuantileMatrix:
 def load_scores(path) -> dict[str, np.ndarray]:
     """Read an ``algorithm,seed,run,score`` CSV, grouped by algorithm.
     A non-finite score raises ``ValueError`` naming the file and line."""
-    header, rows = read_rows(path, "score file")
+    header, rows, lines = read_rows(path, "score file")
     if header != SCORE_HEADER:
         raise ShapeMismatch(f"{path}: expected header {','.join(SCORE_HEADER)}")
     grouped: dict[str, list[float]] = {}
-    parsed = parse_rows(path, rows, lambda row: (row[0], float(row[3])))
-    for row_index, (name, score) in enumerate(parsed):
+    parsed = parse_rows(path, rows, lines, lambda row: (row[0], float(row[3])))
+    for (name, score), line in zip(parsed, lines):
         if not math.isfinite(score):
-            raise ValueError(f"{path}, line {_row_line(path, row_index)}: "
+            raise ValueError(f"{path}, line {line}: "
                              f"scores must be finite, got {score}")
         grouped.setdefault(name, []).append(score)
     return {name: np.array(scores) for name, scores in grouped.items()}

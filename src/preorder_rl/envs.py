@@ -36,7 +36,8 @@ from .preorder import _objective_count
 
 @dataclass(frozen=True)
 class EnvSpec:
-    """Name plus construction parameters for :func:`make_env`."""
+    """Name plus construction parameters for :func:`make_env`; a copy or
+    an unpickled spec is rebuilt from ``(name, episode_cap, dict(params))``."""
 
     name: str
     episode_cap: int = 100
@@ -49,6 +50,9 @@ class EnvSpec:
         if not isinstance(self.params, Mapping):
             raise ConfigError(f"params must be a mapping, got {self.params!r}")
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    def __reduce__(self):
+        return EnvSpec, (self.name, self.episode_cap, dict(self.params))
 
 
 class StepResult(NamedTuple):

@@ -46,8 +46,9 @@ def _edges(edges) -> frozenset[tuple[int, int]]:
 class PreorderGraph:
     """Validated precedence DAG with cached traversal structure.
 
-    Instances are immutable after construction.  The constructor turns
-    the edges into one read-only boolean adjacency matrix and derives
+    Instances are immutable, and a copy or an unpickled graph is rebuilt
+    from ``(n_objectives, sorted(edges))``.  The constructor turns the
+    edges into one read-only boolean adjacency matrix and derives
     everything else from it: the deterministic topological order (the
     lowest-index objective with no unplaced parent goes next), the
     leaves, and these read-only forms of that structure, shared by
@@ -62,9 +63,9 @@ class PreorderGraph:
 
     Raises:
         ConfigError: a field of the wrong form, named: ``n_objectives``
-            (an integer in 1..``MAX_OBJECTIVES``) or ``edges[i]`` (one
-            (higher, lower) pair of integers).
-        IndexError: an edge endpoint is outside ``0..n_objectives-1``.
+            (an integer in 1..``MAX_OBJECTIVES``), ``edges[i]`` (one
+            (higher, lower) pair of integers) or a query's ``objective``.
+        IndexError: an edge endpoint or a query is outside ``0..n_objectives-1``.
         CycleError: the edges contain a self-loop or a directed cycle.
     """
 
@@ -134,10 +135,13 @@ class PreorderGraph:
         return self.strictly_precedes(a, b) or self.strictly_precedes(b, a)
 
     def _check(self, objective: int) -> int:
-        i = int(objective)
+        i = _integer(objective, "objective")
         if not (0 <= i < self.n_objectives):
             raise IndexError(f"objective {i} outside 0..{self.n_objectives - 1}")
         return i
+
+    def __reduce__(self):
+        return PreorderGraph, (self.n_objectives, sorted(self.edges))
 
     def __repr__(self) -> str:
         return f"PreorderGraph(n_objectives={self.n_objectives}, edges={sorted(self.edges)})"

@@ -23,7 +23,7 @@ from . import stats as stats_mod
 from .artifacts import (SCORE_HEADER, load_scores, load_tensor, parse_rows, read_rows,
                         save_episode_log, save_tensor, write_rows)
 from .comparators import ComparatorConfig, QuantileMatrix
-from .config import RunConfig, Variant, _seeds, config_hash, parse_config
+from .config import RunConfig, Variant, _seeds, config_hash
 from .envs import make_env
 from .errors import ConfigError, _integer, _real
 from .learner import WEIGHTED_SUM, _check_env, evaluate, train
@@ -68,17 +68,12 @@ def _train_one(config: RunConfig, variant: Variant, seed: int, out_dir) -> Path:
     return target
 
 
-def _train_job(raw: dict, label: str, seed: int, out_dir: str) -> str:
-    config = parse_config(raw)
-    variant = next(v for v in config.variants if v.label == label)
-    return str(_train_one(config, variant, seed, out_dir))
-
-
 def run_train(config: RunConfig, out_dir, seeds=None, jobs: int = 1) -> Path:
     """Train every variant for every seed; returns the run directory.
 
     ``seeds``, ``jobs`` and ``out_dir`` are checked before any pair trains;
     the run directory appears with the first pair that trains without error.
+    With ``jobs > 1`` pool workers make the serial loop's calls on the parsed config.
     """
     seeds = config.seeds if seeds is None else _seeds(seeds, "seeds")
     if _integer(jobs, "jobs") < 1:
@@ -99,13 +94,11 @@ def run_train(config: RunConfig, out_dir, seeds=None, jobs: int = 1) -> Path:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_train_job, config.raw, variant.label, seed, str(out_dir))
-                       for variant, seed in pairs]
-            for future in futures:
+            for future in [pool.submit(_train_one, config, *pair, out_dir) for pair in pairs]:
                 future.result()
     else:
-        for variant, seed in pairs:
-            _train_one(config, variant, seed, out_dir)
+        for pair in pairs:
+            _train_one(config, *pair, out_dir)
     return run_dir(config, out_dir)
 
 
@@ -171,10 +164,10 @@ def run_compare(config: RunConfig, out_dir) -> Path:
     """
     base = run_dir(config, out_dir)
     path = base / "evaluate.csv"
-    _, rows = read_rows(path, "evaluation summary (run evaluate first)")
+    _, rows, lines = read_rows(path, "evaluation summary (run evaluate first)")
     n = config.graph.n_objectives
     by_label: dict[str, list[np.ndarray]] = {}
-    for label, measures in parse_rows(path, rows,
+    for label, measures in parse_rows(path, rows, lines,
                                       lambda row: (row[0], [float(v) for v in row[3:]])):
         by_label.setdefault(label, []).append(np.array(measures))
     labels = [v.label for v in config.variants if v.label in by_label]

@@ -9,7 +9,7 @@ import numpy as np
 from .errors import ConfigError
 
 MIN_RESAMPLES = 100
-# The largest (n_resamples, n) int64 index matrix bootstrap_ci draws.
+# The most bytes bootstrap_ci holds at its peak, 16 per resampled score.
 MAX_RESAMPLE_BYTES = 1 << 30
 
 
@@ -39,8 +39,8 @@ def iqm(values) -> float | np.ndarray:
 def optimality_gap(values, target: float = 1.0) -> float | np.ndarray:
     """Mean shortfall below ``target`` along the last axis; scores above
     it contribute zero."""
-    arr = _scores(values)
-    return _per_row(np.maximum(0.0, target - arr).mean(axis=-1))
+    short = target - _scores(values)
+    return _per_row(np.maximum(0.0, short, out=short).mean(axis=-1))
 
 
 def prob_improvement(values_x, values_y) -> float:
@@ -62,22 +62,23 @@ def bootstrap_ci(statistic: Callable[[np.ndarray], np.ndarray], values,
     resampled scores, and must reduce its last axis: it returns one
     value per row, as :func:`iqm` and :func:`optimality_gap` do.
     Resampling is driven by ``rng`` (a fresh default generator when
-    None), so intervals reproduce exactly for a fixed seed.  An index
-    matrix over ``MAX_RESAMPLE_BYTES`` raises ``ConfigError`` before any draw.
+    None), so intervals reproduce exactly for a fixed seed.  The peak
+    holds two resample matrices, 16 bytes per resampled score; one over
+    ``MAX_RESAMPLE_BYTES`` raises ``ConfigError`` before any draw.
     """
     if n_resamples < MIN_RESAMPLES:
         raise ValueError(f"need at least {MIN_RESAMPLES} resamples, got {n_resamples}")
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     arr = _scores(values).ravel()
-    size = 8 * int(n_resamples) * arr.size
+    size = 16 * int(n_resamples) * arr.size
     if size > MAX_RESAMPLE_BYTES:
         raise ConfigError(f"n_resamples: {n_resamples} resamples of {arr.size} scores need "
-                          f"{size} index bytes, over the {MAX_RESAMPLE_BYTES}-byte budget")
+                          f"{size} bytes at peak, over the {MAX_RESAMPLE_BYTES}-byte budget")
     if rng is None:
         rng = np.random.default_rng()
-    idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))
-    samples = np.asarray(statistic(arr[idx]), dtype=float)
+    resampled = arr[rng.integers(0, arr.size, size=(n_resamples, arr.size))]
+    samples = np.asarray(statistic(resampled), dtype=float)
     if samples.shape != (n_resamples,):
         raise ValueError(f"statistic must return one value per resample, "
                          f"expected shape ({n_resamples},), got {samples.shape}")

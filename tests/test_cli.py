@@ -289,7 +289,7 @@ def test_shape_problems_exit_4(tmp_path, capsys) -> None:
     ("--resamples=10", "n_resamples: expected an integer >= 100, got 10"),
     ("--gap-target=nan", "gap_target must be finite, got nan"),
     ("--resamples=1000000000000", "n_resamples: 1000000000000 resamples of 1 scores need "
-     "8000000000000 index bytes, over the 1073741824-byte budget")])
+     "16000000000000 bytes at peak, over the 1073741824-byte budget")])
 def test_bad_stats_setting_exits_2_before_anything_is_written(tmp_path, capsys, flag,
                                                               message) -> None:
     scores = tmp_path / "scores.csv"

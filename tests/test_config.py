@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 import re
 
 import pytest
@@ -116,6 +117,20 @@ def test_full_config_round_trip() -> None:
     assert flat.graph is not run.graph
     assert flat.graph.n_objectives == 3
     assert not flat.graph.edges
+
+
+def test_a_parsed_config_survives_a_pickle_round_trip() -> None:
+    # Pooled training hands each worker the parsed config, not its JSON.
+    raw = minimal(env={"name": "crossing-grid", "params": {"density": "low", "width": 5}},
+                  preorder={"n_objectives": 5, "edges": [[0, 1]]},
+                  variants=[{"label": "pr"}, {"label": "flat", "preorder": {
+                      "n_objectives": 5, "edges": [[0, 1], [1, 2], [3, 4]]}}])
+    run = parse_config(raw)
+    twin = pickle.loads(pickle.dumps(run))
+    assert twin == run
+    assert twin.env.params == {"density": "low", "width": 5}
+    assert twin.variants[1].graph == run.variants[1].graph != run.graph
+    assert twin.variants[0].graph is twin.graph
 
 
 def test_scalar_gamma_broadcasts() -> None:

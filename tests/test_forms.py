@@ -81,6 +81,8 @@ MAKERS = {
     "train on chain-mdp": lambda out, **kw: train(
         make_env(EnvSpec("chain-mdp")), LearnerConfig(1, gammas=(0.9,), **kw), build_graph(1),
         seed=0, episodes=1),
+    "parents": lambda out, **kw: build_graph(2, [(0, 1)]).parents(**kw),
+    "children": lambda out, **kw: build_graph(2, [(0, 1)]).children(**kw),
 }
 
 SCALARS = [
@@ -115,6 +117,9 @@ LENGTHS = [
     ("chain-mdp", "length", 2**61),
     ("train on chain-mdp", "quantile_count", HUGE),
     ("train on chain-mdp", "quantile_count", MAX_TENSOR_BYTES // 32 + 1)]
+# A graph query takes an objective index by the constructor's form rule.
+QUERIES = [(query, "objective", value) for query in ("parents", "children")
+           for value in WRONG_FORMS[int]]
 
 # Pytest ids a tuple value by its position in CASES (``run_train-seeds-value116``),
 # so a case added or removed before it renames it: add new cases at the end.
@@ -122,7 +127,8 @@ CASES = ([(maker, field, value) for maker, field, kind in SCALARS for value in W
          + [(maker, field, value) for maker, field, values in COLLECTIONS for value in values]
          + SIZES
          + [(maker, field, value) for maker, field, values in SEEDS for value in values]
-         + LENGTHS)
+         + LENGTHS
+         + QUERIES)
 
 
 @pytest.mark.parametrize(("maker", "field", "value"), CASES, ids=form_id)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import re
 
@@ -98,6 +100,28 @@ def test_equality_ignores_edge_order_and_duplicates() -> None:
     assert hash(a) == hash(b)
     assert a != build_graph(3, [(0, 1)])
     assert a != build_graph(4, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda graph: pickle.loads(pickle.dumps(graph))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_and_pickles_are_rebuilt_read_only(duplicate) -> None:
+    graph = build_graph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (4, 3)])
+    twin = duplicate(graph)
+    assert twin == graph
+    assert twin.walk == graph.walk
+    assert twin.leaves() == graph.leaves()
+    for structure in (twin.ancestors, twin.ancestors_or_self):
+        assert not structure.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            structure[0, 0] = True
+    assert np.array_equal(twin.ancestors, graph.ancestors)
+
+
+def test_queries_take_numpy_integers() -> None:
+    graph = build_graph(2, [(0, 1)])
+    assert graph.parents(np.int64(1)) == {0}
+    assert graph.strictly_precedes(np.intp(0), np.int32(1))
 
 
 def test_out_of_range_queries_rejected() -> None:

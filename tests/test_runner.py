@@ -240,10 +240,11 @@ def test_parallel_training_matches_serial(tmp_path) -> None:
     config = parse_config(bandit_raw())
     serial = run_train(config, tmp_path / "serial")
     parallel = run_train(config, tmp_path / "parallel", jobs=2)
-    for label in ("pr", "ws"):
-        for seed in (0, 1):
-            rel = Path(label) / str(seed) / "tensor.csv"
-            assert (parallel / rel).read_bytes() == (serial / rel).read_bytes()
+    files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(parallel) for p in parallel.rglob("*") if p.is_file())
+    assert len(files) == 1 + 2 * 2 * 2  # config.json, then tensor.csv and episodes.csv per pair
+    for rel in files:
+        assert (parallel / rel).read_bytes() == (serial / rel).read_bytes()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import xml.dom.minidom
 
 import numpy as np
@@ -99,15 +100,31 @@ def test_bootstrap_ci_validation(monkeypatch) -> None:
         bootstrap_ci(iqm, [1.0, 2.0], n_resamples=10)
     with pytest.raises(ValueError):
         bootstrap_ci(iqm, [1.0, 2.0], confidence=1.5)
-    # An index matrix over the budget is refused before anything is drawn.
+    # A peak over the budget is refused before anything is drawn.
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigError, match=r"^n_resamples: 1000000000000 resamples of 2 scores"):
         bootstrap_ci(iqm, [1.0, 2.0], n_resamples=10**12, rng=rng)
     assert rng.random() == np.random.default_rng(0).random()
-    monkeypatch.setattr(stats, "MAX_RESAMPLE_BYTES", 8 * 100 * 2)
+    monkeypatch.setattr(stats, "MAX_RESAMPLE_BYTES", 16 * 100 * 2)
     bootstrap_ci(iqm, [1.0, 2.0], n_resamples=100)
     with pytest.raises(ConfigError, match="^n_resamples: 101 resamples"):
         bootstrap_ci(iqm, [1.0, 2.0], n_resamples=101)
+
+
+@pytest.mark.parametrize("statistic", [iqm, optimality_gap])
+def test_bootstrap_ci_peak_is_two_resample_matrices(statistic) -> None:
+    # The index matrix is freed before the statistic runs, and the gap
+    # clips its shortfall in place, so the peak is the resampled scores
+    # and one working copy: what MAX_RESAMPLE_BYTES counts.
+    scores = np.random.default_rng(5).random(100)
+    index_bytes = 8 * 10_000 * scores.size
+    tracemalloc.start()
+    try:
+        bootstrap_ci(statistic, scores, 10_000, rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * index_bytes
 
 
 def test_batched_statistics_equal_the_per_row_calls() -> None:
