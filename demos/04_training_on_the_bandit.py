@@ -13,7 +13,6 @@ from preorder_rl.comparators import ComparatorConfig
 from preorder_rl.envs import EnvSpec, make_env
 from preorder_rl.learner import (
     WEIGHTED_SUM,
-    EpsilonSchedule,
     LearnerConfig,
     evaluate,
     train,
@@ -22,7 +21,7 @@ from preorder_rl.preorder import build_graph
 
 graph = build_graph(2, [(0, 1)])  # safety outranks progress
 env = make_env(EnvSpec("conflict-bandit", episode_cap=1))
-schedule = EpsilonSchedule(1.0, 0.1, 1000)
+schedule = dict(epsilon_start=1.0, epsilon_end=0.1, epsilon_decay_episodes=1000)
 
 
 def arm_fractions(records) -> tuple[float, float]:
@@ -32,7 +31,7 @@ def arm_fractions(records) -> tuple[float, float]:
 
 preorder = LearnerConfig(n_objectives=2, gammas=(0.9, 0.9),
                          comparator=ComparatorConfig("qd", epsilon=0.2),
-                         epsilon=schedule)
+                         **schedule)
 tensor, _ = train(env, preorder, graph, seed=3, episodes=2000)
 records = evaluate(env, tensor, preorder, graph, seed=4, episodes=500)
 safe, risky = arm_fractions(records)
@@ -43,7 +42,7 @@ print("  progress", np.round(tensor.values[1, 0].mean(axis=1), 3))
 
 weighted = LearnerConfig(n_objectives=2, gammas=(0.9, 0.9), mode=WEIGHTED_SUM,
                          weights=(1.0, 1.0), training_preorder=False,
-                         epsilon=schedule)
+                         **schedule)
 tensor, _ = train(env, weighted, graph, seed=3, episodes=2000)
 records = evaluate(env, tensor, weighted, graph, seed=4, episodes=500)
 safe, risky = arm_fractions(records)

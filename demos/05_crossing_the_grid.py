@@ -11,7 +11,7 @@ import numpy as np
 
 from preorder_rl.comparators import ComparatorConfig
 from preorder_rl.envs import EnvSpec, make_env
-from preorder_rl.learner import EpsilonSchedule, LearnerConfig, evaluate, train
+from preorder_rl.learner import LearnerConfig, evaluate, train
 from preorder_rl.preorder import build_graph
 
 spec = EnvSpec("crossing-grid", episode_cap=40, params={"density": "low"})
@@ -43,7 +43,7 @@ graph = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 config = LearnerConfig(n_objectives=5, gammas=(0.9,) * 5,
                        learning_rate=0.1, learning_rate_end=0.01,
                        comparator=ComparatorConfig("qd", epsilon=0.2),
-                       epsilon=EpsilonSchedule(1.0, 0.1, 1500))
+                       epsilon_start=1.0, epsilon_end=0.1, epsilon_decay_episodes=1500)
 tensor, log = train(env, config, graph, seed=0, episodes=3000)
 records = evaluate(env, tensor, config, graph, seed=1, episodes=300)
 success = np.mean([r.success for r in records])

@@ -31,7 +31,6 @@ from .errors import (
 )
 from .learner import (
     EpisodeRecord,
-    EpsilonSchedule,
     LearnerConfig,
     QuantileTensor,
     VectorTransition,
@@ -65,7 +64,6 @@ __all__ = [
     "EmptySetError",
     "EnvSpec",
     "EpisodeRecord",
-    "EpsilonSchedule",
     "HeadStack",
     "LearnerConfig",
     "LengthMismatch",

@@ -356,6 +356,8 @@ def load_scores(path) -> dict[str, np.ndarray]:
     header, rows, lines = read_rows(path, "score file")
     if header != SCORE_HEADER:
         raise ShapeMismatch(f"{path}: expected header {','.join(SCORE_HEADER)}")
+    if not rows:
+        raise ShapeMismatch(f"{path}: no score rows")
     grouped: dict[str, list[float]] = {}
     parsed = parse_rows(path, rows, lines, lambda row: (row[0], float(row[3])))
     for (name, score), line in zip(parsed, lines):

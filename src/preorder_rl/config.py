@@ -12,8 +12,9 @@ The schema is the field tables ``_TOP``, ``_ENV``, ``_PREORDER``,
 ``_LEARNER``, ``_VARIANT`` and ``_COMPARATOR``, one per JSON block.
 :func:`_fields` reads every block, and the ``select --preorder`` file,
 against its table, so each rejects fields its table does not name.
-Each default is read from the dataclass field it fills; only the
-``gammas`` default, one number for every objective, is the config's own.
+Each block fills one object field for field, and each default is read
+from the dataclass field it fills; only ``gammas``, whose default and
+scalar shorthand stand for one number per objective, is the config's own.
 
 :func:`_fields` checks only JSON container types, and ``_integer`` on the
 top-level counts; every other value is checked by the object it fills,
@@ -31,7 +32,7 @@ from pathlib import Path
 from .comparators import ComparatorConfig
 from .envs import EnvSpec, make_env
 from .errors import ConfigError, _integer
-from .learner import EpsilonSchedule, LearnerConfig
+from .learner import LearnerConfig
 from .preorder import PreorderGraph, build_graph
 
 SCHEMA_VERSION = 1
@@ -45,20 +46,15 @@ _TOP = {"schema_version": (_integer, _REQUIRED), "env": (dict, _REQUIRED),
         "variants": (list, _REQUIRED)}
 _ENV = {"name": (None, _REQUIRED), "episode_cap": (None, EnvSpec.episode_cap), "params": (dict, {})}
 _PREORDER = {"n_objectives": (None, _REQUIRED), "edges": (list, [])}
-_LEARNER = {"gammas": (None, 0.95), "learning_rate": (None, LearnerConfig.learning_rate),
-            "learning_rate_end": (None, LearnerConfig.learning_rate_end),
-            "quantile_count": (None, LearnerConfig.quantile_count),
-            "epsilon_start": (None, EpsilonSchedule.start),
-            "epsilon_end": (None, EpsilonSchedule.end),
-            "epsilon_decay_episodes": (None, EpsilonSchedule.decay_episodes),
-            "huber_kappa": (None, LearnerConfig.huber_kappa),
-            "initial_value": (None, LearnerConfig.initial_value)}
+_LEARNER = {"gammas": (None, 0.95), **{
+    name: (None, getattr(LearnerConfig, name))
+    for name in ("learning_rate", "learning_rate_end", "quantile_count", "epsilon_start",
+                 "epsilon_end", "epsilon_decay_episodes", "huber_kappa", "initial_value")}}
 _VARIANT = {"label": (str, _REQUIRED), "mode": (None, LearnerConfig.mode), "comparator": (dict, {}),
             "training_preorder": (None, LearnerConfig.training_preorder),
             "weights": (None, LearnerConfig.weights), "preorder": (dict, None)}
-_COMPARATOR = {"kind": (None, ComparatorConfig.kind), "epsilon": (None, ComparatorConfig.epsilon),
-               "cvar_alpha": (None, ComparatorConfig.cvar_alpha),
-               "mv_lambda": (None, ComparatorConfig.mv_lambda)}
+_COMPARATOR = {name: (None, getattr(ComparatorConfig, name))
+               for name in ("kind", "epsilon", "cvar_alpha", "mv_lambda")}
 
 
 @dataclass(frozen=True)
@@ -149,9 +145,7 @@ def _parse_learner(raw: dict, n_objectives: int) -> LearnerConfig:
     if isinstance(shared["gammas"], (int, float)) and not isinstance(shared["gammas"], bool):
         shared["gammas"] = [shared["gammas"]] * n_objectives
     try:
-        epsilon = EpsilonSchedule(shared.pop("epsilon_start"), shared.pop("epsilon_end"),
-                                  shared.pop("epsilon_decay_episodes"))
-        return LearnerConfig(n_objectives=n_objectives, epsilon=epsilon, **shared)
+        return LearnerConfig(n_objectives=n_objectives, **shared)
     except ConfigError as exc:
         raise ConfigError(f"learner: {exc}") from exc
 
@@ -180,7 +174,9 @@ def _parse_variant(raw, index: int, base: PreorderGraph, shared: LearnerConfig) 
 def parse_config(raw: dict) -> RunConfig:
     """Validate a parsed JSON document into a :class:`RunConfig`.
 
-    Raises :class:`ConfigError` naming the offending field.
+    ``RunConfig.raw`` is a JSON copy of ``raw``, which the caller may go on
+    changing.  Raises :class:`ConfigError` naming the offending field, or
+    ``config:`` for a value JSON cannot encode.
     """
     top = _fields(raw, "config", _TOP)
     if top["schema_version"] != SCHEMA_VERSION:
@@ -203,6 +199,10 @@ def parse_config(raw: dict) -> RunConfig:
     if len(set(labels)) != len(labels):
         raise ConfigError("config.variants: duplicate labels")
 
+    try:
+        raw = json.loads(json.dumps(raw))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config: {exc}") from exc
     return RunConfig(raw=raw, env=env, graph=graph, episodes=top["episodes"], seeds=seeds,
                      eval_runs=top["eval_runs"], eval_episodes=top["eval_episodes"],
                      variants=variants)

@@ -56,26 +56,6 @@ MODES = (PREORDER, WEIGHTED_SUM, MEAN_AGGREGATION)
 MAX_TENSOR_BYTES = 1 << 32
 
 
-@dataclass(frozen=True)
-class EpsilonSchedule:
-    """Linear exploration decay from ``start`` to ``end`` over
-    ``decay_episodes`` episodes, constant afterwards."""
-
-    start: float = 1.0
-    end: float = 0.05
-    decay_episodes: int = 1
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= _real(self.end, "end") <= _real(self.start, "start") <= 1.0):
-            raise ConfigError(f"need 0 <= end <= start <= 1, got start={self.start} end={self.end}")
-        if _integer(self.decay_episodes, "decay_episodes") < 1:
-            raise ConfigError(f"decay_episodes must be >= 1, got {self.decay_episodes}")
-
-    def value(self, episode: int) -> float:
-        frac = min(max(episode, 0) / self.decay_episodes, 1.0)
-        return self.start + (self.end - self.start) * frac
-
-
 def _reals(values, name: str, count: int) -> tuple[float, ...]:
     """``values`` as ``count`` finite floats; a string, a bare number or a
     bool entry raises, naming ``name`` or the entry ``name[i]``."""
@@ -97,16 +77,20 @@ class LearnerConfig:
     one finite real number that fills every fresh quantile table; filling
     at the worst attainable return keeps rarely visited actions from
     looking better than well-explored ones.  ``huber_kappa`` of 0 selects
-    the plain pinball update.  When ``learning_rate_end`` is set, the step
-    size anneals linearly from ``learning_rate`` to it over the training
-    episodes, damping the late-stage jitter of the estimates.
+    the plain pinball update.  Exploration anneals linearly from
+    ``epsilon_start`` to ``epsilon_end`` over ``epsilon_decay_episodes``
+    episodes, and the step size, when ``learning_rate_end`` is set, from
+    ``learning_rate`` to it over the training episodes.  The fields are a
+    run config's ``learner`` keys, one for one.
     """
 
     n_objectives: int
     gammas: tuple[float, ...]
     learning_rate: float = 0.1
     learning_rate_end: float | None = None
-    epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule)
+    epsilon_start: float = 1.0
+    epsilon_end: float = 0.05
+    epsilon_decay_episodes: int = 1
     quantile_count: int = 8
     comparator: ComparatorConfig = field(default_factory=ComparatorConfig)
     training_preorder: bool = True
@@ -129,8 +113,14 @@ class LearnerConfig:
                 0.0 < _real(self.learning_rate_end, "learning_rate_end") <= self.learning_rate):
             raise ConfigError(f"learning_rate_end must lie in (0, learning_rate], "
                               f"got {self.learning_rate_end}")
-        if not isinstance(self.epsilon, EpsilonSchedule):
-            raise ConfigError(f"epsilon must be one EpsilonSchedule, got {self.epsilon!r}")
+        self.epsilon_start = _real(self.epsilon_start, "epsilon_start")
+        self.epsilon_end = _real(self.epsilon_end, "epsilon_end")
+        if not (0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0):
+            raise ConfigError(f"need 0 <= epsilon_end <= epsilon_start <= 1, got epsilon_start="
+                              f"{self.epsilon_start} epsilon_end={self.epsilon_end}")
+        decay = _integer(self.epsilon_decay_episodes, "epsilon_decay_episodes")
+        if decay < 1:
+            raise ConfigError(f"epsilon_decay_episodes must be >= 1, got {decay}")
         if _integer(self.quantile_count, "quantile_count") < 1:
             raise ConfigError(f"quantile_count must be >= 1, got {self.quantile_count}")
         self.huber_kappa = _real(self.huber_kappa, "huber_kappa")
@@ -366,15 +356,23 @@ def _run_episode(env, tensor, config, graph, rng, episode, epsilon,
                          offroad, progress)
 
 
+def _anneal(start: float, end: float, frac: float) -> float:
+    """``start`` moved ``frac`` of the way to ``end``, and ``end`` from ``frac`` 1 on."""
+    return start + (end - start) * min(frac, 1.0)
+
+
 def train(env, config: LearnerConfig, graph: PreorderGraph, seed: int,
           episodes: int) -> tuple[QuantileTensor, list[EpisodeRecord]]:
     """Train a fresh tensor on ``env`` for ``episodes`` episodes.
 
     All randomness (exploration, tie-breaking draws, environment noise)
     comes from a generator seeded with ``seed``, so identical calls
-    produce identical tensors and episode logs.  A ``ValueError`` raised
-    during an episode, such as a diverging estimate, is re-raised with
-    ``episode N:`` in front of its message.
+    produce identical tensors and episode logs.  Both schedules follow one
+    :func:`_anneal` rule: episode ``n`` sits ``n / epsilon_decay_episodes``
+    of the way from ``epsilon_start`` to ``epsilon_end``, and ``n /
+    (episodes - 1)`` from ``learning_rate`` to ``learning_rate_end``.  A
+    ``ValueError`` raised during an episode, such as a diverging estimate,
+    is re-raised with ``episode N:`` in front of its message.
     """
     episodes = _integer(episodes, "episodes")
     _check_env(env, config, graph)
@@ -384,14 +382,14 @@ def train(env, config: LearnerConfig, graph: PreorderGraph, seed: int,
     tensor.values += config.initial_value
     records = []
     memo: dict[int, SelectionState] = {}
+    end = config.learning_rate if config.learning_rate_end is None else config.learning_rate_end
     for episode in range(episodes):
-        rate = config.learning_rate
-        if config.learning_rate_end is not None:
-            frac = episode / max(episodes - 1, 1)
-            rate = max(rate + (config.learning_rate_end - rate) * frac, config.learning_rate_end)
+        epsilon = _anneal(config.epsilon_start, config.epsilon_end,
+                          episode / config.epsilon_decay_episodes)
+        rate = max(_anneal(config.learning_rate, end, episode / max(episodes - 1, 1)), end)
         try:
             records.append(_run_episode(env, tensor, config, graph, rng, episode,
-                                        config.epsilon.value(episode), rate, memo))
+                                        epsilon, rate, memo))
         except ValueError as exc:
             exc.args = (f"episode {episode}: {exc}",)
             raise

@@ -73,7 +73,8 @@ def run_train(config: RunConfig, out_dir, seeds=None, jobs: int = 1) -> Path:
 
     ``seeds``, ``jobs`` and ``out_dir`` are checked before any pair trains;
     the run directory appears with the first pair that trains without error.
-    With ``jobs > 1`` pool workers make the serial loop's calls on the parsed config.
+    With ``jobs > 1`` at most ``jobs`` pool workers, and no more than there
+    are pairs, make the serial loop's calls on the parsed config.
     """
     seeds = config.seeds if seeds is None else _seeds(seeds, "seeds")
     if _integer(jobs, "jobs") < 1:
@@ -93,7 +94,7 @@ def run_train(config: RunConfig, out_dir, seeds=None, jobs: int = 1) -> Path:
         # Imported here: the pool pulls in multiprocessing, which serial runs never use.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pairs))) as pool:
             for future in [pool.submit(_train_one, config, *pair, out_dir) for pair in pairs]:
                 future.result()
     else:

@@ -28,7 +28,6 @@ from preorder_rl.config import parse_config
 from preorder_rl.envs import EnvSpec, make_env
 from preorder_rl.learner import (
     WEIGHTED_SUM,
-    EpsilonSchedule,
     LearnerConfig,
     QuantileTensor,
     VectorTransition,
@@ -242,7 +241,8 @@ def test_bandit_probe_separates_the_aggregation_families() -> None:
     for seed in (0, 1, 2):
         config = LearnerConfig(n_objectives=2, gammas=(0.9, 0.9),
                                comparator=ComparatorConfig("qd", epsilon=0.2),
-                               epsilon=EpsilonSchedule(1.0, 0.1, 1000))
+                               epsilon_start=1.0, epsilon_end=0.1,
+                               epsilon_decay_episodes=1000)
         tensor, _ = train(env, config, graph, seed=seed, episodes=2000)
         records = evaluate(env, tensor, config, graph, seed=seed + 100,
                            episodes=1000)
@@ -252,7 +252,8 @@ def test_bandit_probe_separates_the_aggregation_families() -> None:
         config = LearnerConfig(n_objectives=2, gammas=(0.9, 0.9),
                                mode=WEIGHTED_SUM, weights=(1.0, 1.0),
                                training_preorder=False,
-                               epsilon=EpsilonSchedule(1.0, 0.1, 1000))
+                               epsilon_start=1.0, epsilon_end=0.1,
+                               epsilon_decay_episodes=1000)
         tensor, _ = train(env, config, graph, seed=seed, episodes=2000)
         records = evaluate(env, tensor, config, graph, seed=seed + 100,
                            episodes=1000)

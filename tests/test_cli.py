@@ -277,6 +277,12 @@ def test_shape_problems_exit_4(tmp_path, capsys) -> None:
     assert main(["stats", "--scores", str(misnamed), "--out", out]) == EXIT_SHAPE
     assert "shape mismatch" in capsys.readouterr().err
 
+    # A header alone once exited 2 with "nothing to plot".
+    header_only = tmp_path / "header_only_scores.csv"
+    header_only.write_text("algorithm,seed,run,score\n")
+    assert main(["stats", "--scores", str(header_only), "--out", out]) == EXIT_SHAPE
+    assert f"{header_only}: no score rows" in capsys.readouterr().err
+
     scores = tmp_path / "scores.csv"
     scores.write_text("algorithm,seed,run,score\nonly,0,0,1.0\n")
     stats_ok = main(["stats", "--scores", str(scores), "--out", out,

@@ -6,19 +6,20 @@ import hashlib
 import json
 import pickle
 import re
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from preorder_rl.cli import _build_parser
 from preorder_rl.comparators import ComparatorConfig
-from preorder_rl.config import config_hash, load_config, parse_config
+from preorder_rl.config import _COMPARATOR, _ENV, _LEARNER, config_hash, load_config, parse_config
 from preorder_rl.envs import EnvSpec
 from preorder_rl.errors import ConfigError
 from preorder_rl.learner import (
     MEAN_AGGREGATION,
     PREORDER,
     WEIGHTED_SUM,
-    EpsilonSchedule,
     LearnerConfig,
 )
 
@@ -47,7 +48,8 @@ def test_minimal_config_fills_defaults() -> None:
     assert learner.learning_rate == pytest.approx(0.1)
     assert learner.learning_rate_end is None
     assert learner.quantile_count == 8
-    assert learner.epsilon == EpsilonSchedule(1.0, 0.05, 1)
+    assert (learner.epsilon_start, learner.epsilon_end, learner.epsilon_decay_episodes) == (
+        1.0, 0.05, 1)
     assert learner.huber_kappa == 0.0
     assert learner.initial_value == 0.0
     assert run.episodes == 10
@@ -95,14 +97,15 @@ def test_full_config_round_trip() -> None:
         ],
     )
     run = parse_config(raw)
-    assert run.raw is raw
+    assert run.raw == raw and run.raw is not raw
     assert run.env.episode_cap == 40
     assert run.env.params["risk_penalty"] == -0.5
     for variant in run.variants:
         assert variant.learner.gammas == (0.9, 0.8, 0.7)
         assert variant.learner.learning_rate_end == pytest.approx(0.01)
         assert variant.learner.quantile_count == 4
-        assert variant.learner.epsilon == EpsilonSchedule(0.9, 0.1, 50)
+        assert (variant.learner.epsilon_start, variant.learner.epsilon_end,
+                variant.learner.epsilon_decay_episodes) == (0.9, 0.1, 50)
         assert variant.learner.huber_kappa == 1.0
         assert variant.learner.initial_value == -1.0
     assert run.seeds == (3, 1, 4)
@@ -133,6 +136,35 @@ def test_a_parsed_config_survives_a_pickle_round_trip() -> None:
     assert twin.variants[0].graph is twin.graph
 
 
+def test_a_parsed_config_does_not_follow_later_changes_to_its_document() -> None:
+    # RunConfig.raw once was the caller's dict, so a later edit moved the run
+    # key and config.json away from the episodes that training used.
+    raw = minimal(learner={"gammas": [0.9, 0.8]})
+    run = parse_config(raw)
+    key = config_hash(run.raw)
+    raw["episodes"] = 7
+    raw["learner"]["gammas"][0] = 0.5
+    assert config_hash(run.raw) == key
+    assert run.raw["episodes"] == run.episodes == 10
+
+
+def test_a_value_json_cannot_encode_is_a_config_error() -> None:
+    # An np.int64 count passed the integer rule, then config_hash raised a
+    # bare TypeError after the first pair had trained.
+    with pytest.raises(ConfigError, match="^config: .*int64"):
+        parse_config(minimal(episodes=np.int64(10)))
+
+
+def test_each_block_fills_one_object_field_for_field() -> None:
+    assert set(_COMPARATOR) == {f.name for f in fields(ComparatorConfig)}
+    assert set(_ENV) == {f.name for f in fields(EnvSpec)}
+    learner = {f.name: f.default for f in fields(LearnerConfig)}
+    for key, (_, default) in _LEARNER.items():
+        assert key in learner
+        # Only gammas, one number for every objective, has the config's own default.
+        assert key == "gammas" or default == learner[key], key
+
+
 def test_scalar_gamma_broadcasts() -> None:
     raw = minimal(preorder={"n_objectives": 4}, learner={"gammas": 0.8})
     assert parse_config(raw).variants[0].learner.gammas == (0.8, 0.8, 0.8, 0.8)
@@ -153,7 +185,7 @@ def test_learner_config_wiring() -> None:
     assert cfg.learning_rate == pytest.approx(0.3)
     assert cfg.learning_rate_end == pytest.approx(0.05)
     assert cfg.quantile_count == 2
-    assert cfg.epsilon == EpsilonSchedule(0.7, 0.2, 9)
+    assert (cfg.epsilon_start, cfg.epsilon_end, cfg.epsilon_decay_episodes) == (0.7, 0.2, 9)
     assert cfg.huber_kappa == 0.5
     assert cfg.initial_value == 1.5
     assert cfg.mode == WEIGHTED_SUM
@@ -237,10 +269,13 @@ def test_variant_errors_name_the_offending_entry() -> None:
     ({"huber_kappa": -0.5}, "huber_kappa must be >= 0, got -0.5"),
     ({"initial_value": float("nan")}, "initial_value must be finite, got nan"),
     ({"learning_rate_end": 0.5}, "learning_rate_end must lie in (0, learning_rate], got 0.5"),
-    ({"epsilon_start": 0.01, "epsilon_end": 0.5}, "need 0 <= end <= start <= 1"),
-    ({"epsilon_decay_episodes": 0}, "decay_episodes must be >= 1, got 0"),
+    ({"epsilon_start": 0.01, "epsilon_end": 0.5}, "need 0 <= epsilon_end <= epsilon_start <= 1"),
+    ({"epsilon_decay_episodes": 0}, "epsilon_decay_episodes must be >= 1, got 0"),
     ({"huber_kappa": float("inf")}, "huber_kappa must be finite, got inf"),
-    ({"huber_kappa": float("nan")}, "huber_kappa must be finite, got nan")])
+    ({"huber_kappa": float("nan")}, "huber_kappa must be finite, got nan"),
+    ({"epsilon_start": "1"}, "epsilon_start must be one real number, got '1'"),
+    ({"epsilon_end": None}, "epsilon_end must be one real number, got None"),
+    ({"epsilon_decay_episodes": 2.5}, "epsilon_decay_episodes must be one integer, got 2.5")])
 def test_shared_learner_values_are_blamed_on_the_learner_block(learner, message) -> None:
     raw = minimal(learner=learner,
                   variants=[{"label": "a"}, {"label": "b", "mode": "mean-aggregation"}])

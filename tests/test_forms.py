@@ -17,8 +17,7 @@ from preorder_rl.comparators import ComparatorConfig
 from preorder_rl.config import parse_config
 from preorder_rl.envs import ChainMDP, EnvSpec, make_env
 from preorder_rl.errors import ConfigError
-from preorder_rl.learner import (MAX_TENSOR_BYTES, EpsilonSchedule, LearnerConfig, QuantileTensor,
-                                 evaluate, train)
+from preorder_rl.learner import MAX_TENSOR_BYTES, LearnerConfig, QuantileTensor, evaluate, train
 from preorder_rl.preorder import MAX_OBJECTIVES, PreorderGraph, build_graph
 from preorder_rl.runner import run_evaluate, run_stats, run_train
 
@@ -68,14 +67,13 @@ def _run_stats(out, **kw):
 MAKERS = {
     "EnvSpec": lambda out, **kw: EnvSpec(**{"name": "chain-mdp", **kw}),
     "PreorderGraph": lambda out, **kw: PreorderGraph(**{"n_objectives": 2, **kw}),
-    "EpsilonSchedule": lambda out, **kw: EpsilonSchedule(**kw),
     "ComparatorConfig": lambda out, **kw: ComparatorConfig(**kw),
     "train": _train, "evaluate": _evaluate,
     "run_train": lambda out, **kw: _run(run_train, out, **kw),
     "run_evaluate": lambda out, **kw: _run(run_evaluate, out, **kw),
     "run_stats": _run_stats,
     "make_env": lambda out, **kw: make_env(EnvSpec("crossing-grid", params=kw)),
-    "LearnerConfig": lambda out, **kw: LearnerConfig(**{"gammas": (0.9,), **kw}),
+    "LearnerConfig": lambda out, **kw: LearnerConfig(**{"n_objectives": 1, "gammas": (0.9,), **kw}),
     "chain-mdp": lambda out, **kw: make_env(EnvSpec("chain-mdp", params=kw)),
     # One head on the default 4-state chain: 32 bytes per quantile.
     "train on chain-mdp": lambda out, **kw: train(
@@ -88,8 +86,8 @@ MAKERS = {
 SCALARS = [
     ("EnvSpec", "name", str), ("EnvSpec", "episode_cap", int),
     ("PreorderGraph", "n_objectives", int),
-    ("EpsilonSchedule", "start", float), ("EpsilonSchedule", "end", float),
-    ("EpsilonSchedule", "decay_episodes", int),
+    ("LearnerConfig", "epsilon_start", float), ("LearnerConfig", "epsilon_end", float),
+    ("LearnerConfig", "epsilon_decay_episodes", int),
     ("ComparatorConfig", "kind", str), ("ComparatorConfig", "epsilon", float),
     ("ComparatorConfig", "cvar_alpha", float), ("ComparatorConfig", "mv_lambda", float),
     ("train", "episodes", int), ("evaluate", "episodes", int),

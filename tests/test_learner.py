@@ -19,10 +19,10 @@ from preorder_rl.learner import (
     PREORDER,
     WEIGHTED_SUM,
     EpisodeRecord,
-    EpsilonSchedule,
     LearnerConfig,
     QuantileTensor,
     VectorTransition,
+    _anneal,
     _pinball_step,
     act,
     evaluate,
@@ -57,18 +57,18 @@ def single_config(**kw) -> LearnerConfig:
 
 
 def test_epsilon_schedule_is_linear_then_flat() -> None:
-    schedule = EpsilonSchedule(1.0, 0.2, 4)
-    assert schedule.value(0) == 1.0
-    assert schedule.value(2) == pytest.approx(0.6)
-    assert schedule.value(4) == pytest.approx(0.2)
-    assert schedule.value(400) == pytest.approx(0.2)
+    # train explores at _anneal(epsilon_start, epsilon_end, episode / epsilon_decay_episodes).
+    assert _anneal(1.0, 0.2, 0 / 4) == 1.0
+    assert _anneal(1.0, 0.2, 2 / 4) == pytest.approx(0.6)
+    assert _anneal(1.0, 0.2, 4 / 4) == pytest.approx(0.2)
+    assert _anneal(1.0, 0.2, 400 / 4) == pytest.approx(0.2)
 
 
 def test_epsilon_schedule_validation() -> None:
-    with pytest.raises(ConfigError):
-        EpsilonSchedule(0.2, 0.5, 1)
-    with pytest.raises(ConfigError):
-        EpsilonSchedule(1.0, 0.1, 0)
+    with pytest.raises(ConfigError, match=r"^need 0 <= epsilon_end <= epsilon_start <= 1"):
+        single_config(epsilon_start=0.2, epsilon_end=0.5)
+    with pytest.raises(ConfigError, match=r"^epsilon_decay_episodes must be >= 1, got 0"):
+        single_config(epsilon_decay_episodes=0)
 
 
 def test_learner_config_validation() -> None:
@@ -105,6 +105,8 @@ def test_learner_config_validation() -> None:
 LEARNER_FORMS = (("n_objectives", int), ("learning_rate", float), ("learning_rate_end", float),
                  ("quantile_count", int), ("mode", str), ("training_preorder", bool),
                  ("huber_kappa", float), ("initial_value", float))
+EXPLORATION_FORMS = (("epsilon_start", float), ("epsilon_end", float),
+                     ("epsilon_decay_episodes", int))
 
 
 @pytest.mark.parametrize(("field", "value"), [
@@ -121,7 +123,9 @@ LEARNER_FORMS = (("n_objectives", int), ("learning_rate", float), ("learning_rat
        if not (field == "learning_rate_end" and value is None)]
     + [(field, value) for field in ("gammas", "weights") for value in (True, None, 10**400)]
     + [(field, (0.9, value)) for field in ("gammas", "weights") for value in WRONG_FORMS[float]]
-    + [(field, value) for field in ("comparator", "epsilon") for value in (True, None, 0.5)],
+    + [("comparator", value) for value in (True, None, 0.5)]
+    # Appended last, so the auto-numbered ids of the cases above keep their positions.
+    + [(field, value) for field, kind in EXPLORATION_FORMS for value in WRONG_FORMS[kind]],
     ids=form_id)
 def test_each_setting_takes_one_form(field, value) -> None:
     good = dict(n_objectives=2, gammas=(0.9, 0.9), mode=WEIGHTED_SUM, weights=(1.0, 1.0))
@@ -138,14 +142,14 @@ def two_objectives(**kw) -> LearnerConfig:
     (ComparatorConfig, "epsilon", "0.1"),
     (ComparatorConfig, "cvar_alpha", "0.5"),
     (ComparatorConfig, "mv_lambda", "1"),
-    (EpsilonSchedule, "start", "1"),
-    (EpsilonSchedule, "decay_episodes", 2.5),
+    (two_objectives, "epsilon_start", "1"),
+    (two_objectives, "epsilon_decay_episodes", 2.5),
     (two_objectives, "learning_rate_end", "0.05"),
     (two_objectives, "quantile_count", 2.5),
     (two_objectives, "quantile_count", True),
     (two_objectives, "n_objectives", 2.0),
     (two_objectives, "training_preorder", "no"),
-    (two_objectives, "epsilon", (1, 0.1, 5))])
+    (two_objectives, "epsilon_end", (0.1,))])
 def test_setting_of_the_wrong_form_is_a_config_error_naming_it(make, field, value) -> None:
     make()
     with pytest.raises(ConfigError, match=f"^{field} "):
@@ -532,7 +536,7 @@ def test_single_objective_preorder_equals_weighted_sum() -> None:
         env = _DriftWorld(EnvSpec("drift", episode_cap=20))
         config = LearnerConfig(n_objectives=1, gammas=(0.9,), mode=mode,
                                weights=weights, training_preorder=False,
-                               epsilon=EpsilonSchedule(1.0, 1.0, 1),
+                               epsilon_start=1.0, epsilon_end=1.0,
                                quantile_count=4)
         return train(env, config, ONE, seed=77, episodes=30)
 
@@ -581,7 +585,7 @@ def test_training_is_deterministic_per_seed() -> None:
     env = make_env(EnvSpec("conflict-bandit", episode_cap=1))
     config = LearnerConfig(n_objectives=2, gammas=(0.9, 0.9),
                            comparator=ComparatorConfig("qd", epsilon=0.2),
-                           epsilon=EpsilonSchedule(1.0, 0.1, 100))
+                           epsilon_start=1.0, epsilon_end=0.1, epsilon_decay_episodes=100)
     runs = []
     for _ in range(2):
         tensor, log = train(env, config, CHAIN2, seed=5, episodes=300)
@@ -612,11 +616,24 @@ def test_learning_rate_anneal_reaches_the_floor() -> None:
     assert abs(slow.values[0, 0, 0, 0] - target) < abs(fast.values[0, 0, 0, 0] - target)
 
 
+def test_an_unset_learning_rate_end_is_the_constant_rate() -> None:
+    # One anneal rule serves both cases: an end equal to the start never moves.
+    env = make_env(EnvSpec("conflict-bandit", episode_cap=1))
+    config = LearnerConfig(n_objectives=2, gammas=(0.9, 0.9), learning_rate=0.3,
+                           comparator=ComparatorConfig("qd", epsilon=0.2),
+                           epsilon_start=1.0, epsilon_end=0.1, epsilon_decay_episodes=50)
+    unset, unset_log = train(env, config, CHAIN2, seed=9, episodes=120)
+    same, same_log = train(env, replace(config, learning_rate_end=0.3), CHAIN2, seed=9,
+                           episodes=120)
+    assert unset.values.tobytes() == same.values.tobytes()
+    assert unset_log == same_log
+
+
 def test_bandit_learner_prefers_the_safe_arm() -> None:
     env = make_env(EnvSpec("conflict-bandit", episode_cap=1))
     config = LearnerConfig(n_objectives=2, gammas=(0.9, 0.9),
                            comparator=ComparatorConfig("qd", epsilon=0.2),
-                           epsilon=EpsilonSchedule(1.0, 0.1, 1000))
+                           epsilon_start=1.0, epsilon_end=0.1, epsilon_decay_episodes=1000)
     tensor, _ = train(env, config, CHAIN2, seed=11, episodes=2000)
     records = evaluate(env, tensor, config, CHAIN2, seed=12, episodes=200)
     safe = np.mean([r.returns[1] == 0.5 for r in records])

@@ -247,6 +247,35 @@ def test_parallel_training_matches_serial(tmp_path) -> None:
         assert (parallel / rel).read_bytes() == (serial / rel).read_bytes()
 
 
+@pytest.mark.parametrize(("jobs", "workers"), [(3, 3), (64, 4)])
+def test_the_pool_starts_no_more_workers_than_pairs(tmp_path, monkeypatch, jobs, workers) -> None:
+    # A fork pool starts every worker on its first submit, so --jobs 64 on
+    # four pairs forked 64 processes.  The fake pool starts none.
+    import concurrent.futures
+
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    base = run_train(parse_config(bandit_raw()), tmp_path, jobs=jobs)
+    assert asked == [workers]
+    assert len(list(base.rglob("tensor.csv"))) == 4
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_failing_first_pair_leaves_no_run_directory(tmp_path, jobs) -> None:
     # config.json used to be written before the first pair trained, so a
