@@ -142,8 +142,10 @@ def two_objectives(**kw) -> LearnerConfig:
     (ComparatorConfig, "epsilon", "0.1"),
     (ComparatorConfig, "cvar_alpha", "0.5"),
     (ComparatorConfig, "mv_lambda", "1"),
-    (two_objectives, "epsilon_start", "1"),
-    (two_objectives, "epsilon_decay_episodes", 2.5),
+    # The three epsilon_* fields are the exploration schedule; these ids name it so.
+    pytest.param(two_objectives, "epsilon_start", "1", id="EpsilonSchedule-start-1"),
+    pytest.param(two_objectives, "epsilon_decay_episodes", 2.5,
+                 id="EpsilonSchedule-decay_episodes-2.5"),
     (two_objectives, "learning_rate_end", "0.05"),
     (two_objectives, "quantile_count", 2.5),
     (two_objectives, "quantile_count", True),
