@@ -88,6 +88,15 @@ def parse_rows(path, rows: list[list[str]], lines: list[int], parse) -> list:
     return parsed
 
 
+def index_cell(cell: str, name: str) -> int:
+    """``cell`` as an integer >= 0 written in ASCII digits alone, as
+    :func:`write_rows` writes a seed or run index; anything else raises
+    ``ValueError`` naming ``name``, which :func:`parse_rows` reports."""
+    if not (cell.isascii() and cell.isdigit()):
+        raise ValueError(f"{name} must be an integer >= 0, got {cell!r}")
+    return int(cell)
+
+
 def save_tensor(tensor: QuantileTensor, path) -> None:
     """Write the tensor as ``objective,state,action,k,value`` rows in C
     order.
@@ -352,15 +361,18 @@ def load_quantile_csv(path) -> QuantileMatrix:
 
 def load_scores(path) -> dict[str, np.ndarray]:
     """Read an ``algorithm,seed,run,score`` CSV, grouped by algorithm.
-    A non-finite score raises ``ValueError`` naming the file and line."""
+    A ``seed`` or ``run`` cell that is not an integer >= 0, or a score
+    that is not a number, raises ``ShapeMismatch`` naming the file and
+    line; a non-finite score raises ``ValueError`` naming them."""
     header, rows, lines = read_rows(path, "score file")
     if header != SCORE_HEADER:
         raise ShapeMismatch(f"{path}: expected header {','.join(SCORE_HEADER)}")
     if not rows:
         raise ShapeMismatch(f"{path}: no score rows")
     grouped: dict[str, list[float]] = {}
-    parsed = parse_rows(path, rows, lines, lambda row: (row[0], float(row[3])))
-    for (name, score), line in zip(parsed, lines):
+    parsed = parse_rows(path, rows, lines, lambda row: (
+        row[0], index_cell(row[1], "seed"), index_cell(row[2], "run"), float(row[3])))
+    for (name, _, _, score), line in zip(parsed, lines):
         if not math.isfinite(score):
             raise ValueError(f"{path}, line {line}: "
                              f"scores must be finite, got {score}")

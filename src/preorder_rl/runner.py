@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import stats as stats_mod
-from .artifacts import (SCORE_HEADER, load_scores, load_tensor, parse_rows, read_rows,
-                        save_episode_log, save_tensor, write_rows)
+from .artifacts import (SCORE_HEADER, index_cell, load_scores, load_tensor, parse_rows,
+                        read_rows, save_episode_log, save_tensor, write_rows)
 from .comparators import ComparatorConfig, QuantileMatrix
 from .config import RunConfig, Variant, _seeds, config_hash
 from .envs import make_env
@@ -162,14 +162,18 @@ def run_compare(config: RunConfig, out_dir) -> Path:
     averaged over seeds and runs); ``rewards.csv`` the mean per-objective
     returns, with percent deltas against the first weighted-sum variant
     when one exists.  A fixed-width rendering goes to ``ablation.txt``.
+    A ``seed`` or ``run`` cell of ``evaluate.csv`` that is not an integer
+    >= 0, or a measure that is not a number, raises ``ShapeMismatch``
+    naming the file and line.
     """
     base = run_dir(config, out_dir)
     path = base / "evaluate.csv"
     _, rows, lines = read_rows(path, "evaluation summary (run evaluate first)")
     n = config.graph.n_objectives
     by_label: dict[str, list[np.ndarray]] = {}
-    for label, measures in parse_rows(path, rows, lines,
-                                      lambda row: (row[0], [float(v) for v in row[3:]])):
+    for label, _, _, measures in parse_rows(path, rows, lines, lambda row: (
+            row[0], index_cell(row[1], "seed"), index_cell(row[2], "run"),
+            [float(v) for v in row[3:]])):
         by_label.setdefault(label, []).append(np.array(measures))
     labels = [v.label for v in config.variants if v.label in by_label]
 

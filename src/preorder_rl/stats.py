@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _integer, _real
 
 MIN_RESAMPLES = 100
 # The most bytes bootstrap_ci holds at its peak, 16 per resampled score.
@@ -38,8 +39,9 @@ def iqm(values) -> float | np.ndarray:
 
 def optimality_gap(values, target: float = 1.0) -> float | np.ndarray:
     """Mean shortfall below ``target`` along the last axis; scores above
-    it contribute zero."""
-    short = target - _scores(values)
+    it contribute zero.  A ``target`` that is not one finite real number
+    raises ``ConfigError``."""
+    short = _real(target, "target") - _scores(values)
     return _per_row(np.maximum(0.0, short, out=short).mean(axis=-1))
 
 
@@ -64,14 +66,22 @@ def bootstrap_ci(statistic: Callable[[np.ndarray], np.ndarray], values,
     Resampling is driven by ``rng`` (a fresh default generator when
     None), so intervals reproduce exactly for a fixed seed.  The peak
     holds two resample matrices, 16 bytes per resampled score; one over
-    ``MAX_RESAMPLE_BYTES`` raises ``ConfigError`` before any draw.
+    ``MAX_RESAMPLE_BYTES`` raises ``ConfigError`` before any draw, as
+    does an ``n_resamples`` that is not one integer or a ``confidence``
+    that is not one finite real number.
+
+    The ends are numpy's linear percentiles of the resampled statistic,
+    computed with one partition by :func:`_percentiles`, which keeps
+    ``numpy.ma`` (imported by ``np.percentile``) out of the process.
     """
+    n_resamples = _integer(n_resamples, "n_resamples")
+    confidence = _real(confidence, "confidence")
     if n_resamples < MIN_RESAMPLES:
         raise ValueError(f"need at least {MIN_RESAMPLES} resamples, got {n_resamples}")
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     arr = _scores(values).ravel()
-    size = 16 * int(n_resamples) * arr.size
+    size = 16 * n_resamples * arr.size
     if size > MAX_RESAMPLE_BYTES:
         raise ConfigError(f"n_resamples: {n_resamples} resamples of {arr.size} scores need "
                           f"{size} bytes at peak, over the {MAX_RESAMPLE_BYTES}-byte budget")
@@ -83,5 +93,29 @@ def bootstrap_ci(statistic: Callable[[np.ndarray], np.ndarray], values,
         raise ValueError(f"statistic must return one value per resample, "
                          f"expected shape ({n_resamples},), got {samples.shape}")
     tail = 100.0 * (1.0 - confidence) / 2.0
-    lo, hi = np.percentile(samples, [tail, 100.0 - tail])
+    lo, hi = _percentiles(samples, (tail, 100.0 - tail))
     return float(lo), float(hi)
+
+
+def _percentiles(samples: np.ndarray, percents) -> list[np.float64]:
+    """``np.percentile(samples, percents)`` bit for bit, for a 1-D float
+    array and percents in [0, 100].  One partition at the order
+    statistics numpy selects leaves numpy's arrangement, so ``-0.0`` and
+    ``0.0`` tie as they do there (a full sort does not); each end is
+    numpy's ``_lerp`` of its two neighbours, and a NaN sample gives NaN."""
+    n = samples.size
+    virtuals = [(n - 1) * (percent / 100) for percent in percents]
+    # At or past the last index numpy takes the last value for both
+    # neighbours and measures the weight from index -1.
+    neighbours = [(math.floor(v), math.floor(v) + 1) if v < n - 1 else (-1, -1)
+                  for v in virtuals]
+    part = np.partition(samples, sorted({0, n - 1, *(i % n for pair in neighbours for i in pair)}))
+    if np.isnan(part[-1]):
+        return [part[-1]] * len(virtuals)
+    ends = []
+    for v, (below, above) in zip(virtuals, neighbours):
+        weight = v - below
+        low, high = part[below], part[above]
+        diff = high - low
+        ends.append(high - diff * (1 - weight) if weight >= 0.5 else low + diff * weight)
+    return ends

@@ -13,6 +13,7 @@ from preorder_rl import runner
 from preorder_rl.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_OK, EXIT_SHAPE, _build_parser, main
 from preorder_rl.artifacts import save_quantile_csv
 from preorder_rl.comparators import ComparatorConfig, QuantileMatrix, midpoint_fractions
+from preorder_rl.config import parse_config
 from preorder_rl.preorder import MAX_OBJECTIVES, build_graph
 from preorder_rl.runner import run_stats
 from preorder_rl.selection import select
@@ -282,6 +283,23 @@ def test_shape_problems_exit_4(tmp_path, capsys) -> None:
     header_only.write_text("algorithm,seed,run,score\n")
     assert main(["stats", "--scores", str(header_only), "--out", out]) == EXIT_SHAPE
     assert f"{header_only}: no score rows" in capsys.readouterr().err
+
+    # Resampling by seed needs a valid seed column; a bad one once passed.
+    bad_index = tmp_path / "bad_index_scores.csv"
+    bad_index.write_text("algorithm,seed,run,score\na,0,0,0.5\na,1.5,-2,0.4\n")
+    assert main(["stats", "--scores", str(bad_index), "--out", out]) == EXIT_SHAPE
+    assert f"{bad_index}, line 3: seed must be an integer >= 0, got '1.5'" in (
+        capsys.readouterr().err)
+
+    config = write_config(tmp_path)
+    evaluation = runner.run_dir(parse_config(json.loads(config.read_text())), out)
+    evaluation.mkdir(parents=True)
+    (evaluation / "evaluate.csv").write_text(
+        "variant,seed,run,success_rate,collision_rate,offroad_rate,progress,return_0,return_1\n"
+        "pr,x,-1.5,1.0,0.0,0.0,1.0,0.5,0.5\n")
+    assert main(["compare", "--config", str(config), "--out", out]) == EXIT_SHAPE
+    assert "evaluate.csv, line 2: seed must be an integer >= 0, got 'x'" in capsys.readouterr().err
+    assert not (evaluation / "ablation.csv").exists()
 
     scores = tmp_path / "scores.csv"
     scores.write_text("algorithm,seed,run,score\nonly,0,0,1.0\n")

@@ -20,6 +20,7 @@ from preorder_rl.errors import ConfigError
 from preorder_rl.learner import MAX_TENSOR_BYTES, LearnerConfig, QuantileTensor, evaluate, train
 from preorder_rl.preorder import MAX_OBJECTIVES, PreorderGraph, build_graph
 from preorder_rl.runner import run_evaluate, run_stats, run_train
+from preorder_rl.stats import bootstrap_ci, iqm, optimality_gap
 
 HUGE = 10**400
 
@@ -81,6 +82,8 @@ MAKERS = {
         seed=0, episodes=1),
     "parents": lambda out, **kw: build_graph(2, [(0, 1)]).parents(**kw),
     "children": lambda out, **kw: build_graph(2, [(0, 1)]).children(**kw),
+    "bootstrap_ci": lambda out, **kw: bootstrap_ci(iqm, [0.5, 1.5], **kw),
+    "optimality_gap": lambda out, **kw: optimality_gap([0.5, 1.5], **kw),
 }
 
 SCALARS = [
@@ -118,6 +121,10 @@ LENGTHS = [
 # A graph query takes an objective index by the constructor's form rule.
 QUERIES = [(query, "objective", value) for query in ("parents", "children")
            for value in WRONG_FORMS[int]]
+# A statistic's settings follow the form rule too, and NaN is not finite.
+STATISTICS = [("bootstrap_ci", "n_resamples", WRONG_FORMS[int]),
+              ("bootstrap_ci", "confidence", WRONG_FORMS[float] + (float("nan"),)),
+              ("optimality_gap", "target", WRONG_FORMS[float] + (float("nan"),))]
 
 # Pytest ids a tuple value by its position in CASES (``run_train-seeds-value116``),
 # so a case added or removed before it renames it: add new cases at the end.
@@ -126,7 +133,8 @@ CASES = ([(maker, field, value) for maker, field, kind in SCALARS for value in W
          + SIZES
          + [(maker, field, value) for maker, field, values in SEEDS for value in values]
          + LENGTHS
-         + QUERIES)
+         + QUERIES
+         + [(maker, field, value) for maker, field, values in STATISTICS for value in values])
 
 
 @pytest.mark.parametrize(("maker", "field", "value"), CASES, ids=form_id)

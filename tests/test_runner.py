@@ -299,6 +299,20 @@ def test_importing_the_runner_leaves_multiprocessing_unloaded() -> None:
     assert proc.returncode == 0, proc.stderr or "multiprocessing was imported"
 
 
+def test_run_stats_leaves_numpy_ma_unloaded(tmp_path) -> None:
+    # np.percentile imports numpy.ma through np.unique, a fixed cost in
+    # every process that reports; the intervals use one partition instead.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; from preorder_rl.runner import run_stats; "
+            "run_stats(sys.argv[1], sys.argv[2], n_resamples=100); "
+            "sys.exit('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(scores_fixture(tmp_path)),
+                           str(tmp_path / "stats")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr or "numpy.ma was imported"
+    assert (tmp_path / "stats" / "stats_summary.csv").is_file()
+
+
 def test_evaluate_requires_trained_tensor(tmp_path) -> None:
     config = parse_config(bandit_raw())
     with pytest.raises(MissingArtifact):

@@ -168,6 +168,31 @@ def test_bootstrap_ci_matches_the_per_resample_reference() -> None:
         assert got == want
 
 
+def test_percentiles_equal_numpys_linear_percentile_bit_for_bit() -> None:
+    rng = np.random.default_rng(41)
+    for case in range(400):
+        n = int(rng.choice([2, 3, 40, 41, 100])) if case % 2 else int(rng.integers(100, 5001))
+        kind = case % 4
+        if kind == 0:
+            samples = rng.normal(size=n)
+        elif kind == 1:
+            samples = _tie_heavy(rng, n)
+        elif kind == 2:
+            samples = np.full(n, float(rng.choice([-0.0, 0.0, 0.75])))
+        else:
+            samples = rng.choice([-0.0, 0.0, -1.0, 1.0], size=n)
+        confidence = 0.95 if case % 5 == 0 else float(rng.uniform(0.0, 1.0))
+        tail = 100.0 * (1.0 - confidence) / 2.0
+        want = np.percentile(samples, [tail, 100.0 - tail])
+        got = np.array(stats._percentiles(samples, (tail, 100.0 - tail)))
+        assert got.tobytes() == want.tobytes(), (n, kind, confidence)
+    samples = rng.normal(size=200)
+    samples[17] = np.nan
+    got = np.array(stats._percentiles(samples, (2.5, 97.5)))
+    assert np.isnan(got).all()
+    assert got.tobytes() == np.percentile(samples, [2.5, 97.5]).tobytes()
+
+
 def test_bootstrap_ci_calls_the_statistic_once_on_the_resample_matrix() -> None:
     seen = []
 
